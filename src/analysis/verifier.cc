@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -38,7 +39,7 @@ struct RangeInfo
     bool decoded = false; ///< Fully disassembled (hand-asm never is).
 };
 
-/** Shared state of one verifyExecutable pass. */
+/** Shared state of one verification pass. */
 struct ExeVerifier
 {
     const Executable &exe;
@@ -46,9 +47,19 @@ struct ExeVerifier
     VerifyReport &report;
 
     std::vector<RangeInfo> ranges; ///< Sorted by start address.
-    std::unordered_set<uint64_t> boundaries; ///< Decoded inst addresses.
+    /** reach[i]: largest end of the valid ranges among ranges[0..i]. */
+    std::vector<uint64_t> reach;
     std::unordered_map<uint64_t, const FuncRange *> primaryStarts;
     std::unordered_map<std::string, const FuncRange *> rangeByName;
+
+    /** (parent function, index into ranges) of every valid range, sorted. */
+    std::vector<std::pair<std::string_view, size_t>> fnRanges;
+    /**
+     * (address, map index, block index) of every nonzero-size addr-map
+     * block, sorted: at one address the first map in bbAddrMap order,
+     * and its first block, come first.
+     */
+    std::vector<std::tuple<uint64_t, uint32_t, uint32_t>> blockAt;
 
     void
     diag(CheckId id, Severity sev, const std::string &fn, uint64_t addr,
@@ -57,27 +68,55 @@ struct ExeVerifier
         report.engine.report(id, sev, fn, addr, std::move(msg));
     }
 
+    /** Number of ranges starting at or before @p addr. */
+    size_t
+    rangesUpTo(uint64_t addr) const
+    {
+        return std::upper_bound(ranges.begin(), ranges.end(), addr,
+                                [](uint64_t a, const RangeInfo &r) {
+                                    return a < r.sym->start;
+                                }) -
+               ranges.begin();
+    }
+
     /** Range whose [start, end) contains @p addr; nullptr if none. */
     const RangeInfo *
     ownerOf(uint64_t addr) const
     {
-        auto it = std::upper_bound(
-            ranges.begin(), ranges.end(), addr,
-            [](uint64_t a, const RangeInfo &r) { return a < r.sym->start; });
-        if (it == ranges.begin())
+        size_t n = rangesUpTo(addr);
+        if (n == 0 || !ranges[n - 1].valid || addr >= ranges[n - 1].sym->end)
             return nullptr;
-        --it;
-        if (!it->valid || addr >= it->sym->end)
-            return nullptr;
-        return &*it;
+        return &ranges[n - 1];
+    }
+
+    /**
+     * Whether an instruction decoded in any range starts at @p addr.
+     * Overlapping ranges (PV002) each decode their own instruction
+     * stream, so every earlier range whose extent still covers @p addr
+     * is searched, not just the owner.
+     */
+    bool
+    isBoundary(uint64_t addr) const
+    {
+        for (size_t i = rangesUpTo(addr); i-- > 0 && reach[i] > addr;) {
+            const std::vector<bolt::BoltInst> &insts = ranges[i].dis.insts;
+            auto hit = std::lower_bound(
+                insts.begin(), insts.end(), addr,
+                [](const bolt::BoltInst &bi, uint64_t a) {
+                    return bi.addr < a;
+                });
+            if (hit != insts.end() && hit->addr == addr)
+                return true;
+        }
+        return false;
     }
 
     void checkSymbols();
     void checkEntry();
+    void indexAddrMaps();
     void decodeRange(RangeInfo &info, VerifyReport &rep);
-    void indexBoundaries();
     void checkControlFlowRange(const RangeInfo &info, VerifyReport &rep);
-    void checkAddrMap();
+    void checkFuncMap(size_t m, VerifyReport &rep) const;
     void checkEhFrame();
     void checkIntegrity();
     void checkSymbolOrder();
@@ -128,6 +167,14 @@ ExeVerifier::checkSymbols()
         if (!prev || info.sym->end > prev->sym->end)
             prev = &info;
     }
+
+    reach.reserve(ranges.size());
+    uint64_t far = 0;
+    for (const auto &info : ranges) {
+        if (info.valid)
+            far = std::max(far, info.sym->end);
+        reach.push_back(far);
+    }
 }
 
 void
@@ -147,8 +194,7 @@ void
 ExeVerifier::decodeRange(RangeInfo &info, VerifyReport &rep)
 {
     // Writes only to this range's slot and @p rep: safe to run
-    // concurrently across distinct ranges.  The shared boundary index
-    // is built afterwards by indexBoundaries().
+    // concurrently across distinct ranges.
     if (!info.valid)
         return;
     if (info.sym->isHandAsm) {
@@ -173,20 +219,12 @@ ExeVerifier::decodeRange(RangeInfo &info, VerifyReport &rep)
 }
 
 void
-ExeVerifier::indexBoundaries()
-{
-    for (const auto &info : ranges)
-        for (const auto &bi : info.dis.insts)
-            boundaries.insert(bi.addr);
-}
-
-void
 ExeVerifier::checkControlFlowRange(const RangeInfo &info,
                                    VerifyReport &rep)
 {
-    // Reads only shared immutable state (ranges, boundaries,
-    // primaryStarts — all frozen after indexBoundaries); reports into
-    // @p rep.  Safe to run concurrently across distinct ranges.
+    // Reads only shared state frozen once every range is decoded
+    // (ranges, primaryStarts); reports into @p rep.  Safe to run
+    // concurrently across distinct ranges.
     if (!info.decoded)
         return;
     auto diag = [&](CheckId id, Severity sev, const std::string &fn,
@@ -235,10 +273,10 @@ ExeVerifier::checkControlFlowRange(const RangeInfo &info,
                 continue;
             }
             // Hand-asm ranges are opaque; a failed-decode range already
-            // produced PV004 and its boundary set is incomplete.
+            // produced PV004 and its instruction list is incomplete.
             if (owner->sym->isHandAsm || !owner->decoded)
                 continue;
-            if (!boundaries.count(target)) {
+            if (!isBoundary(target)) {
                 diag(CheckId::PV005, Severity::Error, sym.parentFunction,
                      bi.addr,
                      "branch target " + hex(target) +
@@ -267,190 +305,190 @@ ExeVerifier::checkControlFlowRange(const RangeInfo &info,
     }
 }
 
-/** Run the decomposed passes back to back (the monolithic shape). */
 void
-runSerialRangePasses(ExeVerifier &v)
+ExeVerifier::indexAddrMaps()
 {
-    for (auto &info : v.ranges)
-        v.decodeRange(info, v.report);
-    v.indexBoundaries();
-    for (const auto &info : v.ranges)
-        v.checkControlFlowRange(info, v.report);
+    for (size_t r = 0; r < ranges.size(); ++r)
+        if (ranges[r].valid)
+            fnRanges.emplace_back(ranges[r].sym->parentFunction, r);
+    std::sort(fnRanges.begin(), fnRanges.end());
+
+    for (size_t m = 0; m < exe.bbAddrMap.size(); ++m) {
+        const auto &blocks = exe.bbAddrMap[m].blocks;
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            if (blocks[b].size > 0)
+                blockAt.emplace_back(blocks[b].address, m, b);
+        }
+    }
+    std::sort(blockAt.begin(), blockAt.end());
 }
 
 void
-ExeVerifier::checkAddrMap()
+ExeVerifier::checkFuncMap(size_t m, VerifyReport &rep) const
 {
-    // Function name -> its valid ranges, sorted by address.
-    std::unordered_map<std::string, std::vector<const RangeInfo *>>
-        fn_ranges;
-    for (const auto &info : ranges) {
-        if (info.valid)
-            fn_ranges[info.sym->parentFunction].push_back(&info);
-    }
+    // Reads only state frozen once every range is decoded; reports into
+    // @p rep.  Safe to run concurrently across distinct maps.
+    const ExecFuncMap &map = exe.bbAddrMap[m];
+    auto diag = [&](CheckId id, uint64_t addr, std::string msg) {
+        rep.engine.report(id, Severity::Error, map.function, addr,
+                          std::move(msg));
+    };
 
-    // Block start address -> (function, bbId), for successor checks.
-    std::unordered_map<uint64_t, std::pair<const ExecFuncMap *, uint32_t>>
-        block_at;
-    for (const auto &map : exe.bbAddrMap) {
-        for (const auto &block : map.blocks) {
-            if (block.size > 0)
-                block_at.emplace(block.address,
-                                 std::make_pair(&map, block.bbId));
+    // The function's valid ranges, in address order.
+    std::vector<const RangeInfo *> fn_rs;
+    for (auto it = std::lower_bound(
+             fnRanges.begin(), fnRanges.end(),
+             std::make_pair(std::string_view(map.function), size_t{0}));
+         it != fnRanges.end() && it->first == map.function; ++it)
+        fn_rs.push_back(&ranges[it->second]);
+    if (fn_rs.empty()) {
+        diag(CheckId::PV009, 0,
+             "address map for function without any symbol range");
+        return;
+    }
+    const size_t nfn = fn_rs.size();
+
+    // Assign each block to the range containing it, as (index into the
+    // function's ranges, block); a zero-size block (everything in it was
+    // relaxed away) may sit exactly at its range's end.
+    std::vector<std::pair<size_t, const ExecBlock *>> placed;
+    for (const auto &block : map.blocks) {
+        size_t owner = nfn;
+        for (size_t k = 0; k < nfn; ++k) {
+            const FuncRange &r = *fn_rs[k]->sym;
+            if (block.address >= r.start &&
+                (block.address < r.end ||
+                 (block.size == 0 && block.address == r.end))) {
+                owner = k;
+                break;
+            }
         }
-    }
-
-    for (const auto &map : exe.bbAddrMap) {
-        auto fit = fn_ranges.find(map.function);
-        if (fit == fn_ranges.end()) {
-            diag(CheckId::PV009, Severity::Error, map.function, 0,
-                 "address map for function without any symbol range");
+        if (owner == nfn) {
+            diag(CheckId::PV009, block.address,
+                 "block bb" + std::to_string(block.bbId) + " at " +
+                     hex(block.address) +
+                     " lies outside every range of its function");
             continue;
         }
-        const std::vector<const RangeInfo *> &fn_rs = fit->second;
-
-        // Assign each block to the range containing it; a zero-size
-        // block (everything in it was relaxed away) may sit exactly at
-        // its range's end.
-        std::unordered_map<const RangeInfo *, std::vector<const ExecBlock *>>
-            per_range;
-        for (const auto &block : map.blocks) {
-            const RangeInfo *owner = nullptr;
-            for (const RangeInfo *r : fn_rs) {
-                if (block.address >= r->sym->start &&
-                    (block.address < r->sym->end ||
-                     (block.size == 0 && block.address == r->sym->end))) {
-                    owner = r;
-                    break;
-                }
-            }
-            if (!owner) {
-                diag(CheckId::PV009, Severity::Error, map.function,
-                     block.address,
-                     "block bb" + std::to_string(block.bbId) + " at " +
-                         hex(block.address) +
-                         " lies outside every range of its function");
-                continue;
-            }
-            if (owner->decoded && !boundaries.count(block.address) &&
-                !(block.size == 0 && block.address == owner->sym->end)) {
-                diag(CheckId::PV009, Severity::Error, map.function,
-                     block.address,
-                     "block bb" + std::to_string(block.bbId) + " at " +
-                         hex(block.address) +
-                         " is not at an instruction boundary");
-            }
-            per_range[owner].push_back(&block);
+        const RangeInfo &r = *fn_rs[owner];
+        if (r.decoded && !isBoundary(block.address) &&
+            !(block.size == 0 && block.address == r.sym->end)) {
+            diag(CheckId::PV009, block.address,
+                 "block bb" + std::to_string(block.bbId) + " at " +
+                     hex(block.address) +
+                     " is not at an instruction boundary");
         }
+        placed.emplace_back(owner, &block);
+    }
 
-        // Tiling: within each range the assigned blocks must cover it
-        // exactly, in address order, with no gaps or overlaps.
-        for (const RangeInfo *r : fn_rs) {
-            auto pit = per_range.find(r);
-            if (pit == per_range.end())
-                continue;
-            std::vector<const ExecBlock *> &blocks = pit->second;
-            std::stable_sort(blocks.begin(), blocks.end(),
-                             [](const ExecBlock *a, const ExecBlock *b) {
-                                 return a->address < b->address;
-                             });
-            uint64_t cursor = r->sym->start;
-            for (const ExecBlock *block : blocks) {
-                // A landing-pad section begins with a nop prefix so the
-                // pad lands at a nonzero offset (codegen, paper 4.5):
-                // tolerate a nop-only gap before the range's first block.
-                if (block == blocks.front() && block->address > cursor) {
-                    bool all_nops = true;
-                    for (uint64_t a = cursor; a < block->address; ++a)
-                        all_nops =
-                            all_nops &&
-                            exe.text[a - exe.textBase] ==
-                                static_cast<uint8_t>(isa::Opcode::Nop);
-                    if (all_nops)
-                        cursor = block->address;
-                }
-                if (block->address != cursor) {
-                    diag(CheckId::PV010, Severity::Error, map.function,
-                         block->address,
-                         "block bb" + std::to_string(block->bbId) +
-                             " at " + hex(block->address) +
-                             (block->address > cursor
-                                  ? " leaves a gap from "
-                                  : " overlaps back to ") +
-                             hex(cursor) + " in '" + r->sym->name + "'");
-                }
-                cursor = block->address + block->size;
+    // Tiling: within each range the assigned blocks must cover it
+    // exactly, in address order, with no gaps or overlaps.
+    std::stable_sort(placed.begin(), placed.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first != b.first
+                                    ? a.first < b.first
+                                    : a.second->address < b.second->address;
+                     });
+    for (size_t i = 0; i < placed.size();) {
+        const size_t owner = placed[i].first;
+        const FuncRange &r = *fn_rs[owner]->sym;
+        uint64_t cursor = r.start;
+        const ExecBlock *first = placed[i].second;
+        for (; i < placed.size() && placed[i].first == owner; ++i) {
+            const ExecBlock *block = placed[i].second;
+            // A landing-pad section begins with a nop prefix so the pad
+            // lands at a nonzero offset (codegen, paper 4.5): tolerate a
+            // nop-only gap before the range's first block.
+            if (block == first && block->address > cursor) {
+                bool all_nops = true;
+                for (uint64_t a = cursor; a < block->address; ++a)
+                    all_nops = all_nops &&
+                               exe.text[a - exe.textBase] ==
+                                   static_cast<uint8_t>(isa::Opcode::Nop);
+                if (all_nops)
+                    cursor = block->address;
             }
-            if (cursor != r->sym->end) {
-                diag(CheckId::PV010, Severity::Error, map.function,
-                     cursor,
-                     "blocks of '" + r->sym->name + "' end at " +
-                         hex(cursor) + ", range ends at " +
-                         hex(r->sym->end));
+            if (block->address != cursor) {
+                diag(CheckId::PV010, block->address,
+                     "block bb" + std::to_string(block->bbId) + " at " +
+                         hex(block->address) +
+                         (block->address > cursor ? " leaves a gap from "
+                                                  : " overlaps back to ") +
+                         hex(cursor) + " in '" + r.name + "'");
             }
+            cursor = block->address + block->size;
         }
+        if (cursor != r.end) {
+            diag(CheckId::PV010, cursor,
+                 "blocks of '" + r.name + "' end at " + hex(cursor) +
+                     ", range ends at " + hex(r.end));
+        }
+    }
 
-        // Successor cross-check (v2 metadata only): the decoded
-        // terminator of each block must transfer to blocks the compiler
-        // declared as successors.
-        bool has_v2 = map.functionHash != 0;
-        for (const auto &block : map.blocks)
-            has_v2 = has_v2 || block.hash != 0;
-        if (!has_v2)
+    // Successor cross-check (v2 metadata only): the decoded terminator
+    // of each block must transfer to blocks the compiler declared as
+    // successors.
+    bool has_v2 = map.functionHash != 0;
+    for (const auto &block : map.blocks)
+        has_v2 = has_v2 || block.hash != 0;
+    if (!has_v2)
+        return;
+    // (bbId, address) by id; the first block with an id comes first.
+    std::vector<std::pair<uint32_t, uint64_t>> addr_of;
+    for (const auto &block : map.blocks)
+        addr_of.emplace_back(block.bbId, block.address);
+    std::stable_sort(addr_of.begin(), addr_of.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+
+    for (const auto &block : map.blocks) {
+        if (block.size == 0 || block.succs.empty())
             continue;
-        std::unordered_map<uint32_t, uint64_t> addr_of;
-        for (const auto &block : map.blocks)
-            addr_of.emplace(block.bbId, block.address);
-        for (const auto &block : map.blocks) {
-            if (block.size == 0 || block.succs.empty())
-                continue;
-            const RangeInfo *owner = ownerOf(block.address);
-            if (!owner || !owner->decoded)
-                continue;
-            uint64_t block_end = block.address + block.size;
-            // Last instruction starting inside [address, end).
-            const bolt::BoltInst *last = nullptr;
-            for (const auto &bi : owner->dis.insts) {
-                if (bi.addr >= block_end)
-                    break;
-                if (bi.addr >= block.address)
-                    last = &bi;
-            }
-            if (!last)
-                continue;
+        const RangeInfo *owner = ownerOf(block.address);
+        if (!owner || !owner->decoded)
+            continue;
+        // Last instruction starting inside [address, end).
+        const std::vector<bolt::BoltInst> &insts = owner->dis.insts;
+        auto after = std::lower_bound(
+            insts.begin(), insts.end(), block.address + block.size,
+            [](const bolt::BoltInst &bi, uint64_t a) { return bi.addr < a; });
+        if (after == insts.begin() || (after - 1)->addr < block.address)
+            continue;
+        const bolt::BoltInst &last = *(after - 1);
 
-            auto check_edge = [&](uint64_t target, const char *what) {
-                auto bit = block_at.find(target);
-                // Transfers out of this function's blocks are judged by
-                // the control-flow checks, not the successor list.
-                if (bit == block_at.end() || bit->second.first != &map)
+        auto check_edge = [&](uint64_t target, const char *what) {
+            auto bit = std::lower_bound(blockAt.begin(), blockAt.end(),
+                                        std::make_tuple(target, 0u, 0u));
+            // Transfers out of this function's blocks are judged by the
+            // control-flow checks, not the successor list.
+            if (bit == blockAt.end() || std::get<0>(*bit) != target ||
+                std::get<1>(*bit) != m)
+                return;
+            // Match successors by address, not id: a declared successor
+            // relaxed down to zero bytes sits at the same address as the
+            // block physically reached through it.
+            for (uint32_t s : block.succs) {
+                auto it = std::lower_bound(addr_of.begin(), addr_of.end(),
+                                           std::make_pair(s, uint64_t{0}));
+                if (it != addr_of.end() && it->first == s &&
+                    it->second == target)
                     return;
-                // Match successors by address, not id: a declared
-                // successor relaxed down to zero bytes sits at the same
-                // address as the block physically reached through it.
-                for (uint32_t s : block.succs)
-                    if (addr_of.count(s) && addr_of.at(s) == target)
-                        return;
-                {
-                    diag(CheckId::PV006, Severity::Error, map.function,
-                         last->addr,
-                         std::string(what) + " of bb" +
-                             std::to_string(block.bbId) + " reaches bb" +
-                             std::to_string(bit->second.second) +
-                             " at " + hex(target) +
-                             ", which is not a declared successor");
-                }
-            };
-
-            const isa::Instruction &inst = last->inst;
-            uint64_t inst_end = last->addr + inst.size();
-            if (inst.isCondBranch() || inst.isUncondBranch()) {
-                check_edge(inst_end + static_cast<int64_t>(inst.rel),
-                           "branch");
             }
-            if (!inst.endsStream())
-                check_edge(inst_end, "fall-through");
-        }
+            diag(CheckId::PV006, last.addr,
+                 std::string(what) + " of bb" + std::to_string(block.bbId) +
+                     " reaches bb" +
+                     std::to_string(map.blocks[std::get<2>(*bit)].bbId) +
+                     " at " + hex(target) +
+                     ", which is not a declared successor");
+        };
+
+        const isa::Instruction &inst = last.inst;
+        uint64_t inst_end = last.addr + inst.size();
+        if (inst.isCondBranch() || inst.isUncondBranch())
+            check_edge(inst_end + static_cast<int64_t>(inst.rel), "branch");
+        if (!inst.endsStream())
+            check_edge(inst_end, "fall-through");
     }
 }
 
@@ -567,21 +605,14 @@ VerifyReport::merge(const VerifyReport &other)
 VerifyReport
 verifyExecutable(const Executable &exe, const VerifyOptions &opts)
 {
-    VerifyReport report;
-    report.engine.parseSuppressions(opts.suppress);
-
-    ExeVerifier v{exe, opts, report, {}, {}, {}, {}};
-    v.checkSymbols();
-    v.checkEntry();
-    runSerialRangePasses(v);
-    if (opts.checkAddrMap)
-        v.checkAddrMap();
-    if (opts.checkEhFrame)
-        v.checkEhFrame();
-    if (opts.checkIntegrity)
-        v.checkIntegrity();
-    v.checkSymbolOrder();
-    return report;
+    ExecutableVerifier v(exe, opts);
+    for (size_t r = 0; r < v.rangeCount(); ++r)
+        v.decodeRange(r);
+    for (size_t r = 0; r < v.rangeCount(); ++r)
+        v.checkRange(r);
+    for (size_t c = 0; c < v.addrMapChunkCount(); ++c)
+        v.checkAddrMapChunk(c);
+    return v.finish();
 }
 
 struct ExecutableVerifier::Impl
@@ -590,21 +621,26 @@ struct ExecutableVerifier::Impl
     ExeVerifier v;
     std::vector<VerifyReport> decodeSlots;
     std::vector<VerifyReport> checkSlots;
+    std::vector<VerifyReport> addrMapSlots;
 
-    Impl(const Executable &exe, const VerifyOptions &opts)
-        : v{exe, opts, main, {}, {}, {}, {}}
+    Impl(const Executable &exe, const VerifyOptions &opts, size_t chunks)
+        : v{exe, opts, main, {}, {}, {}, {}, {}, {}}
     {
         main.engine.parseSuppressions(opts.suppress);
         v.checkSymbols();
         v.checkEntry();
+        if (opts.checkAddrMap)
+            v.indexAddrMaps();
         decodeSlots.resize(v.ranges.size());
         checkSlots.resize(v.ranges.size());
+        addrMapSlots.resize(std::max<size_t>(1, chunks));
     }
 };
 
 ExecutableVerifier::ExecutableVerifier(const linker::Executable &exe,
-                                       const VerifyOptions &opts)
-    : impl_(std::make_unique<Impl>(exe, opts))
+                                       const VerifyOptions &opts,
+                                       size_t addrMapChunks)
+    : impl_(std::make_unique<Impl>(exe, opts, addrMapChunks))
 {
 }
 
@@ -630,30 +666,41 @@ ExecutableVerifier::decodeRange(size_t r)
 }
 
 void
-ExecutableVerifier::buildIndex()
-{
-    impl_->v.indexBoundaries();
-}
-
-void
 ExecutableVerifier::checkRange(size_t r)
 {
     impl_->v.checkControlFlowRange(impl_->v.ranges[r],
                                    impl_->checkSlots[r]);
 }
 
+size_t
+ExecutableVerifier::addrMapChunkCount() const
+{
+    return impl_->addrMapSlots.size();
+}
+
+void
+ExecutableVerifier::checkAddrMapChunk(size_t c)
+{
+    if (!impl_->v.opts.checkAddrMap)
+        return;
+    size_t nm = impl_->v.exe.bbAddrMap.size();
+    size_t chunks = impl_->addrMapSlots.size();
+    for (size_t m = c * nm / chunks; m < (c + 1) * nm / chunks; ++m)
+        impl_->v.checkFuncMap(m, impl_->addrMapSlots[c]);
+}
+
 VerifyReport
 ExecutableVerifier::finish()
 {
-    // Deterministic merge: per-range findings re-emit in range order
-    // through the main engine (which owns the suppression set), exactly
-    // matching the monolithic pass's diagnostic order.
+    // Deterministic merge: per-range and per-chunk findings re-emit in
+    // range and map order through the main engine (which owns the
+    // suppression set), so the report is the same at any thread count.
     for (const auto &slot : impl_->decodeSlots)
         impl_->main.merge(slot);
     for (const auto &slot : impl_->checkSlots)
         impl_->main.merge(slot);
-    if (impl_->v.opts.checkAddrMap)
-        impl_->v.checkAddrMap();
+    for (const auto &slot : impl_->addrMapSlots)
+        impl_->main.merge(slot);
     if (impl_->v.opts.checkEhFrame)
         impl_->v.checkEhFrame();
     if (impl_->v.opts.checkIntegrity)

@@ -83,28 +83,35 @@ struct VerifyReport
 
 /**
  * Disassemble @p exe and cross-check the machine CFG against its
- * metadata (checks PV001-PV012, PV015).
+ * metadata (checks PV001-PV012, PV015): every ExecutableVerifier stage,
+ * run serially.
  */
 VerifyReport verifyExecutable(const linker::Executable &exe,
                               const VerifyOptions &opts = {});
 
 /**
- * verifyExecutable decomposed into schedulable stages so the task-graph
- * relink engine can overlap per-range decoding and control-flow checks
- * with the tail of linking:
+ * The verifier as schedulable stages, so the task-graph relink engine
+ * can overlap per-range decoding and the checks with the tail of
+ * linking (verifyExecutable runs the same stages back to back):
  *
- *   ctor            — symbol/entry checks (PV001-PV003), serial;
- *   decodeRange(r)  — disassemble one range (PV004); thread-safe
- *                     across distinct r;
- *   buildIndex()    — instruction-boundary index over all decoded
- *                     ranges; serial barrier, required before checks;
- *   checkRange(r)   — control-flow checks (PV005/PV007/PV008) for one
- *                     range; thread-safe across distinct r;
- *   finish()        — metadata-wide checks (addr map, eh_frame,
- *                     integrity, symbol order) plus the deterministic
- *                     merge: per-range findings re-emit in range order,
- *                     so the final report is byte-identical to the
- *                     monolithic pass at any thread count.
+ *   ctor                 — symbol/entry checks (PV001-PV003) and the
+ *                          sorted address-map block table, serial;
+ *   decodeRange(r)       — disassemble one range (PV004); thread-safe
+ *                          across distinct r;
+ *   checkRange(r)        — control-flow checks (PV005/PV007/PV008) for
+ *                          one range; thread-safe across distinct r;
+ *   checkAddrMapChunk(c) — address-map checks (PV006/PV009/PV010) for
+ *                          one contiguous slice of Executable::bbAddrMap;
+ *                          thread-safe across distinct c;
+ *   finish()             — eh_frame, integrity and symbol-order checks
+ *                          plus the deterministic merge: per-range and
+ *                          per-chunk findings re-emit in range and map
+ *                          order, so the report is byte-identical at any
+ *                          thread count.
+ *
+ * Every decodeRange must complete before any checkRange or
+ * checkAddrMapChunk: a branch target or block address is an instruction
+ * boundary when some decoded range has an instruction starting there.
  *
  * @p exe and @p opts must outlive the verifier.
  */
@@ -112,7 +119,7 @@ class ExecutableVerifier
 {
   public:
     ExecutableVerifier(const linker::Executable &exe,
-                       const VerifyOptions &opts);
+                       const VerifyOptions &opts, size_t addrMapChunks = 1);
     ~ExecutableVerifier();
     ExecutableVerifier(const ExecutableVerifier &) = delete;
     ExecutableVerifier &operator=(const ExecutableVerifier &) = delete;
@@ -123,9 +130,12 @@ class ExecutableVerifier
     /** Byte size of range @p r (cost-model input for task sizing). */
     uint64_t rangeBytes(size_t r) const;
 
+    /** Slices of the address map (the ctor's addrMapChunks, at least 1). */
+    size_t addrMapChunkCount() const;
+
     void decodeRange(size_t r);
-    void buildIndex();
     void checkRange(size_t r);
+    void checkAddrMapChunk(size_t c);
     VerifyReport finish();
 
   private:

@@ -31,10 +31,9 @@ getU64(const std::vector<uint8_t> &in, size_t pos)
 std::vector<uint8_t>
 encodeJournal(uint64_t generation, const std::vector<uint8_t> &payload)
 {
-    std::vector<uint8_t> out;
+    std::vector<uint8_t> out(kMagic, kMagic + 4);
     out.reserve(kJournalHeaderBytes + payload.size() +
                 kJournalFooterBytes);
-    out.insert(out.end(), kMagic, kMagic + 4);
     putU64(out, generation);
     putU64(out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());

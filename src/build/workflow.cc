@@ -89,13 +89,17 @@ Workflow::program()
     return *program_;
 }
 
-uint64_t
-Workflow::moduleHash(size_t module_index) const
+void
+Workflow::hashModules() const
 {
     assert(program_ && "program() must be generated first");
     if (moduleHashes_.empty()) {
-        moduleHashes_.reserve(program_->modules.size());
-        for (const auto &mod : program_->modules) {
+        // Each module hashes into its own slot: the same values at any
+        // thread count.
+        const auto &mods = program_->modules;
+        moduleHashes_.resize(mods.size());
+        parallelFor(config_.jobs, mods.size(), [&](size_t i) {
+            const ir::Module *mod = mods[i].get();
             uint64_t h = fnv1a(mod->name);
             h = hashCombine(h, mod->rodataBytes);
             for (const auto &fn : mod->functions) {
@@ -109,9 +113,15 @@ Workflow::moduleHash(size_t module_index) const
                         h = hashInst(h, inst);
                 }
             }
-            moduleHashes_.push_back(h);
-        }
+            moduleHashes_[i] = h;
+        });
     }
+}
+
+uint64_t
+Workflow::moduleHash(size_t module_index) const
+{
+    hashModules();
     return moduleHashes_[module_index];
 }
 
@@ -194,29 +204,45 @@ Workflow::compileModules(const codegen::ClusterMap *clusters,
     }
     copts.prefetches = prefetches;
 
-    // Cache lookups run on the coordinating thread, in module order, so
-    // hit/miss accounting is deterministic.  A hit must survive both the
-    // cache's byte-hash check (lookup returns nullptr on mismatch) and
-    // structural deserialization; either failure evicts the entry and
-    // the action re-executes as a miss.
+    // Action keys and the deserialization of cache hits fan out over
+    // the local thread pool into per-module slots.  Cache lookups, and
+    // the hit/miss/corruption accounting, run on the coordinating
+    // thread in module order, so they are deterministic.  A hit must
+    // survive both the cache's byte-hash check (lookup returns nullptr
+    // on mismatch) and structural deserialization; either failure
+    // evicts the entry and the action re-executes as a miss.
     batch.objects.resize(n);
-    std::vector<size_t> misses;
+    hashModules();
+    std::vector<uint64_t> keys(n);
+    parallelFor(config_.jobs, n, [&](size_t i) {
+        keys[i] = actionKey(i, clusters, prefetches, true);
+    });
     uint64_t corruptions_before = cache_.stats().corruptions;
+    std::vector<const std::vector<uint8_t> *> hits(n);
+    for (size_t i = 0; i < n; ++i)
+        hits[i] = cache_.lookup(keys[i]);
+    std::vector<support::Status> rejects(n);
+    parallelFor(config_.jobs, n, [&](size_t i) {
+        if (!hits[i])
+            return;
+        auto obj = elf::ObjectFile::deserializeChecked(*hits[i]);
+        if (obj.ok())
+            batch.objects[i] = std::move(obj).value();
+        else
+            rejects[i] = obj.status();
+    });
+    std::vector<size_t> misses;
     for (size_t i = 0; i < n; ++i) {
-        uint64_t key = actionKey(i, clusters, prefetches, true);
-        const std::vector<uint8_t> *hit = cache_.lookup(key);
-        if (hit) {
-            auto obj = elf::ObjectFile::deserializeChecked(*hit);
-            if (obj.ok()) {
-                batch.objects[i] = std::move(obj).value();
-                batch.cachedNames.push_back(batch.objects[i].name);
-                ++batch.cacheHits;
-                continue;
-            }
-            cache_.evictCorrupt(key);
+        if (hits[i] && rejects[i].ok()) {
+            batch.cachedNames.push_back(batch.objects[i].name);
+            ++batch.cacheHits;
+            continue;
+        }
+        if (hits[i]) {
+            cache_.evictCorrupt(keys[i]);
             batch.failures.push_back("cache artifact rejected (" +
                                      prog.modules[i]->name +
-                                     "): " + obj.status().toString());
+                                     "): " + rejects[i].toString());
         }
         misses.push_back(i);
     }
@@ -234,8 +260,7 @@ Workflow::compileModules(const codegen::ClusterMap *clusters,
 
     std::vector<double> costs;
     for (size_t i : misses) {
-        cache_.put(actionKey(i, clusters, prefetches, true),
-                   batch.objects[i].serialize());
+        cache_.put(keys[i], batch.objects[i].serialize());
         uint64_t insts = moduleInsts(*prog.modules[i]);
         double base_cost =
             static_cast<double>(insts) * cost_.backendSecPerInst;
@@ -1174,6 +1199,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     const size_t chunks = std::max<size_t>(1, limits_.workers * 2);
     std::vector<sched::TaskId> decodeTask;
     std::vector<sched::TaskId> checkTask;
+    std::vector<sched::TaskId> addrMapTask;
 
     if (need_verify) {
         vopts.emplace();
@@ -1200,13 +1226,12 @@ Workflow::runRelinkGraph(RelinkStage target)
                 // PV001-PV003 run in the ctor; ranges come after.
                 verifier =
                     std::make_unique<analysis::ExecutableVerifier>(
-                        *twin, *vopts);
+                        *twin, *vopts, chunks);
             },
             {"verify.setup", "phase5.verify", 0.0});
         graph.addEdge(twinTask, setupTask);
 
         decodeTask.resize(chunks);
-        checkTask.resize(chunks);
         for (size_t c = 0; c < chunks; ++c) {
             decodeTask[c] = graph.add(
                 [&, c] {
@@ -1225,12 +1250,10 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(setupTask, decodeTask[c]);
         }
 
-        sched::TaskId indexTask = graph.add(
-            [&] { verifier->buildIndex(); },
-            {"verify.index", "phase5.verify", 0.0});
-        for (size_t c = 0; c < chunks; ++c)
-            graph.addEdge(decodeTask[c], indexTask);
-
+        // The checks look up instruction boundaries in every decoded
+        // range, so each waits for all decode chunks.
+        checkTask.resize(chunks);
+        addrMapTask.resize(chunks);
         for (size_t c = 0; c < chunks; ++c) {
             checkTask[c] = graph.add(
                 [&, c] {
@@ -1246,7 +1269,13 @@ Workflow::runRelinkGraph(RelinkStage target)
                                       cost_.verifySecPerByte * 0.3);
                 },
                 {"check#" + std::to_string(c), "phase5.verify", 0.0});
-            graph.addEdge(indexTask, checkTask[c]);
+            addrMapTask[c] = graph.add(
+                [&, c] { verifier->checkAddrMapChunk(c); },
+                {"addrmap#" + std::to_string(c), "phase5.verify", 0.0});
+            for (size_t d = 0; d < chunks; ++d) {
+                graph.addEdge(decodeTask[d], checkTask[c]);
+                graph.addEdge(decodeTask[d], addrMapTask[c]);
+            }
         }
 
         sched::TaskId finishTask = graph.add(
@@ -1273,8 +1302,10 @@ Workflow::runRelinkGraph(RelinkStage target)
                 vrep = verifier->finish();
             },
             {"verify.finish", "phase5.verify", 0.0});
-        for (size_t c = 0; c < chunks; ++c)
+        for (size_t c = 0; c < chunks; ++c) {
             graph.addEdge(checkTask[c], finishTask);
+            graph.addEdge(addrMapTask[c], finishTask);
+        }
         if (need_link)
             graph.addEdge(poLink, finishTask);
 

@@ -485,6 +485,8 @@ class Workflow
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;
     linker::Options linkOptions();
+    /** Fill moduleHashes_ once, in parallel; not thread-safe itself. */
+    void hashModules() const;
     uint64_t moduleHash(size_t module_index) const;
 
     workload::WorkloadConfig config_;

@@ -80,7 +80,7 @@ struct BbEntry
     uint64_t hash = 0;
 
     /** Static successor block ids, in terminator order (v2). */
-    std::vector<uint32_t> succs;
+    std::vector<uint32_t> succs{};
 
     bool operator==(const BbEntry &) const = default;
 };

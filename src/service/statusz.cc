@@ -44,9 +44,34 @@ jsonEscape(const std::string &s)
 {
     std::string out;
     for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          case '\b':
+            out += "\\b";
+            break;
+          case '\f':
+            out += "\\f";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += fmt("\\u%04x", static_cast<unsigned>(c));
+            else
+                out += c;
+        }
     }
     return out;
 }

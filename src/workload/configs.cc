@@ -1,6 +1,6 @@
-#include <cassert>
-
 #include "workload/workload.h"
+
+#include "support/check.h"
 
 /**
  * @file
@@ -228,20 +228,42 @@ specConfigs()
     return configs;
 }
 
+namespace {
+
+const WorkloadConfig *
+lookupConfig(const std::string &name)
+{
+    for (const auto *table : {&appConfigs(), &specConfigs()}) {
+        for (const auto &cfg : *table) {
+            if (cfg.name == name)
+                return &cfg;
+        }
+    }
+    return nullptr;
+}
+
+} // namespace
+
+support::StatusOr<WorkloadConfig>
+findConfig(const std::string &name)
+{
+    if (const WorkloadConfig *cfg = lookupConfig(name))
+        return *cfg;
+    std::string known;
+    for (const auto *table : {&appConfigs(), &specConfigs()})
+        for (const auto &cfg : *table)
+            known += (known.empty() ? "" : ", ") + cfg.name;
+    return support::makeError(support::ErrorCode::kUnresolved,
+                              "unknown workload '" + name +
+                                  "' (known: " + known + ")");
+}
+
 const WorkloadConfig &
 configByName(const std::string &name)
 {
-    for (const auto &cfg : appConfigs()) {
-        if (cfg.name == name)
-            return cfg;
-    }
-    for (const auto &cfg : specConfigs()) {
-        if (cfg.name == name)
-            return cfg;
-    }
-    assert(false && "unknown workload config");
-    static WorkloadConfig dummy;
-    return dummy;
+    const WorkloadConfig *cfg = lookupConfig(name);
+    PROPELLER_CHECK(cfg, "unknown workload config");
+    return *cfg;
 }
 
 } // namespace propeller::workload

@@ -27,6 +27,7 @@
 
 #include "ir/ir.h"
 #include "sim/machine.h"
+#include "support/status.h"
 
 namespace propeller::workload {
 
@@ -140,7 +141,13 @@ const std::vector<WorkloadConfig> &appConfigs();
 /** The SPEC2017 integer-like small benchmarks. */
 const std::vector<WorkloadConfig> &specConfigs();
 
-/** Look up any config by name; asserts if unknown. */
+/**
+ * Look up any config by name.  An unknown name is a kUnresolved error
+ * whose message lists every known workload.
+ */
+support::StatusOr<WorkloadConfig> findConfig(const std::string &name);
+
+/** findConfig for names known to exist; check-fails if unknown. */
 const WorkloadConfig &configByName(const std::string &name);
 
 /** Machine options for evaluation runs of @p config. */

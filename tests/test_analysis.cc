@@ -18,6 +18,7 @@
 #include "build/workflow.h"
 #include "propeller/addr_map_index.h"
 #include "propeller/profile_mapper.h"
+#include "sched/sched.h"
 #include "test_util.h"
 #include "workload/workload.h"
 
@@ -311,6 +312,141 @@ TEST(Workflow, VerifyFailureAttributionInPhaseReport)
     for (const auto &d : rep.engine.diagnostics())
         EXPECT_TRUE(d.function.empty() || names.count(d.function))
             << d.render();
+}
+
+/**
+ * Run the staged verifier on a task graph with the relink engine's
+ * shape: decode chunks, then check and addr-map chunks that each wait
+ * for every decode chunk, then finish().
+ */
+VerifyReport
+verifyOnGraph(const linker::Executable &exe, const VerifyOptions &opts,
+              unsigned jobs, size_t chunks = 4)
+{
+    ExecutableVerifier v(exe, opts, chunks);
+    const size_t nr = v.rangeCount();
+    sched::TaskGraph graph;
+    std::vector<sched::TaskId> decode;
+    for (size_t c = 0; c < chunks; ++c) {
+        decode.push_back(graph.add([&, c] {
+            for (size_t r = c * nr / chunks; r < (c + 1) * nr / chunks; ++r)
+                v.decodeRange(r);
+        }));
+    }
+    for (size_t c = 0; c < chunks; ++c) {
+        graph.add(
+            [&, c] {
+                for (size_t r = c * nr / chunks; r < (c + 1) * nr / chunks;
+                     ++r)
+                    v.checkRange(r);
+            },
+            {}, decode);
+        graph.add([&, c] { v.checkAddrMapChunk(c); }, {}, decode);
+    }
+    sched::SchedulerOptions sopts;
+    sopts.threads = jobs;
+    sched::Scheduler(sopts).run(graph);
+    return v.finish();
+}
+
+/** Every diagnostic (id, severity, function, address, message), in order. */
+std::vector<std::string>
+rendered(const VerifyReport &rep)
+{
+    std::vector<std::string> out;
+    for (const auto &d : rep.engine.diagnostics())
+        out.push_back(d.render());
+    return out;
+}
+
+/** The serial verifier and the staged one at jobs 1 and 4 agree. */
+void
+expectSameReports(const linker::Executable &exe, const VerifyOptions &opts,
+                   const std::string &what)
+{
+    VerifyReport serial = verifyExecutable(exe, opts);
+    for (unsigned jobs : {1u, 4u}) {
+        VerifyReport staged = verifyOnGraph(exe, opts, jobs);
+        EXPECT_EQ(rendered(staged), rendered(serial))
+            << what << " jobs=" << jobs;
+        EXPECT_EQ(staged.functionsChecked, serial.functionsChecked);
+        EXPECT_EQ(staged.rangesDecoded, serial.rangesDecoded);
+        EXPECT_EQ(staged.handAsmSkipped, serial.handAsmSkipped);
+        EXPECT_EQ(staged.instructionsDecoded, serial.instructionsDecoded);
+        EXPECT_EQ(staged.bytesVerified, serial.bytesVerified);
+    }
+}
+
+TEST(VerifierEquivalence, StagedMatchesSerialOnMutationMatrix)
+{
+    buildsys::Workflow wf(verifyConfig(4));
+    const linker::Executable &twin = wf.verifiedBinary();
+    for (size_t c = 0; c < kDefectClassCount; ++c) {
+        DefectClass cls = allDefectClasses()[c];
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            linker::Executable exe = twin;
+            core::CcProfile cc = wf.wpa().ccProf;
+            core::LdProfile ld = wf.wpa().ldProf;
+            MutationTarget target{&exe, &cc, &ld, nullptr};
+            std::string desc = injectDefect(cls, seed, target);
+            VerifyOptions opts;
+            opts.expectedOrder = &ld;
+            expectSameReports(exe, opts,
+                              std::string(defectName(cls)) + " seed " +
+                                  std::to_string(seed) + " [" + desc +
+                                  "]");
+        }
+    }
+}
+
+TEST(VerifierEquivalence, StagedMatchesSerialOnCleanBuilds)
+{
+    for (const char *name : {"bigtable", "search"}) {
+        workload::WorkloadConfig cfg = workload::configByName(name);
+        cfg.jobs = 4;
+        buildsys::Workflow wf(cfg);
+        const VerifyReport &shipped = wf.verifyReport();
+        ASSERT_TRUE(shipped.clean()) << name;
+        VerifyOptions opts;
+        opts.expectedOrder = &wf.wpa().ldProf;
+        expectSameReports(wf.verifiedBinary(), opts, name);
+        EXPECT_TRUE(verifyExecutable(wf.verifiedBinary(), opts).clean())
+            << name;
+    }
+}
+
+/**
+ * Overlapping ranges (PV002) decode independent instruction streams.  A
+ * branch target that starts an instruction only in the *earlier* range
+ * is still a boundary: the lookup must scan back past the owner.
+ *
+ *   f      [0x1000, 0x1005): alu r1 @1000, nop @1003, ret @1004
+ *   f.cold [0x1001, 0x1005): alu     @1001,            ret @1004
+ *   f.1    [0x1005, 0x1007): jmp 0x1003
+ */
+TEST(VerifierEquivalence, OverlapBoundaryScansBackToEarlierRange)
+{
+    linker::Executable exe;
+    exe.name = "overlap";
+    exe.textBase = 0x1000;
+    exe.entryAddress = 0x1000;
+    exe.text = {0x01, 0x01, 0x90, 0x90, 0xC3, 0xEB, 0xFC};
+    exe.symbols = {
+        {"f", "f", 0x1000, 0x1005, true, false},
+        {"f.cold", "f", 0x1001, 0x1005, false, false},
+        {"f.1", "f", 0x1005, 0x1007, false, false},
+    };
+
+    VerifyReport rep = verifyExecutable(exe, {});
+    bool overlap = false;
+    for (const auto &d : rep.engine.diagnostics()) {
+        overlap = overlap || d.id == CheckId::PV002;
+        EXPECT_NE(d.id, CheckId::PV005) << d.render();
+    }
+    EXPECT_TRUE(overlap) << rep.engine.renderText();
+    EXPECT_EQ(rep.rangesDecoded, 3u);
+    EXPECT_EQ(rep.bytesVerified, 5u + 4u + 2u);
+    expectSameReports(exe, {}, "overlap");
 }
 
 } // namespace

@@ -89,6 +89,17 @@ struct VerifierCase
     const char *expected;
 };
 
+/**
+ * Print a case by name.  gtest's default byte dump would show the
+ * pointers, which differ from process to process, so the discovered test
+ * names would change on every build.
+ */
+void
+PrintTo(const VerifierCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 void
 dropTerminator(Program &p)
 {

@@ -258,6 +258,10 @@ runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
                 deps.push_back(mix64(h, d) % i);
         }
         unsigned sleep_us = static_cast<unsigned>(mix64(h, 99) % 40);
+        // Appended, not "t" + to_string(i): GCC 12 flags that operator+
+        // with a spurious -Wrestrict at -O3.
+        std::string label = "t";
+        label += std::to_string(i);
         ids[i] = g.add(
             [&, i, deps, sleep_us, h] {
                 // Unequal task durations are what force steals: a worker
@@ -269,12 +273,14 @@ runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
                     v = mix64(v, value[d]);
                 value[i] = v;
                 sink.submit(i, [&transcript, i, v] {
-                    transcript += "task " + std::to_string(i) + " -> " +
-                                  std::to_string(v % 997) + "\n";
+                    transcript += "task ";
+                    transcript += std::to_string(i);
+                    transcript += " -> ";
+                    transcript += std::to_string(v % 997);
+                    transcript += '\n';
                 });
             },
-            {"t" + std::to_string(i), "prop",
-             0.001 * static_cast<double>(h % 100)});
+            {label, "prop", 0.001 * static_cast<double>(h % 100)});
         for (size_t d : deps)
             g.addEdge(ids[d], ids[i]);
     }

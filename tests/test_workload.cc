@@ -142,6 +142,24 @@ TEST(Workload, ConfigTablesComplete)
     EXPECT_EQ(configByName("clang").integrityCheckedFunctions, 0u);
 }
 
+TEST(Workload, FindConfigReturnsTypedErrorForUnknownName)
+{
+    support::StatusOr<WorkloadConfig> found = findConfig("mysql");
+    ASSERT_TRUE(found.ok());
+    EXPECT_EQ(found.value().name, "mysql");
+
+    support::StatusOr<WorkloadConfig> missing = findConfig("fleetapp");
+    ASSERT_FALSE(missing.ok());
+    EXPECT_EQ(missing.status().code(), support::ErrorCode::kUnresolved);
+    const std::string &message = missing.status().message();
+    EXPECT_NE(message.find("'fleetapp'"), std::string::npos) << message;
+    // The error lists every workload a caller could have meant.
+    for (const auto *table : {&appConfigs(), &specConfigs()})
+        for (const auto &cfg : *table)
+            EXPECT_NE(message.find(cfg.name), std::string::npos)
+                << cfg.name;
+}
+
 TEST(Workload, OptionsDeriveFromConfig)
 {
     const WorkloadConfig &cfg = configByName("search");

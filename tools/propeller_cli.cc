@@ -120,10 +120,14 @@ unsigned g_canary_at = ~0u;
 unsigned g_rollback_at = ~0u;
 
 /** Look up a workload and apply the global --jobs override. */
-workload::WorkloadConfig
+support::StatusOr<workload::WorkloadConfig>
 namedConfig(const std::string &name)
 {
-    workload::WorkloadConfig cfg = workload::configByName(name);
+    support::StatusOr<workload::WorkloadConfig> found =
+        workload::findConfig(name);
+    if (!found.ok())
+        return found;
+    workload::WorkloadConfig cfg = std::move(found).value();
     cfg.jobs = g_jobs;
     cfg.barrierScheduler = g_barrier;
     return cfg;
@@ -310,9 +314,8 @@ cmdRunStale(const workload::WorkloadConfig &cfg)
 }
 
 int
-cmdRun(const std::string &name)
+cmdRun(const workload::WorkloadConfig &cfg)
 {
-    workload::WorkloadConfig cfg = namedConfig(name);
     if (g_stale_requested)
         return cmdRunStale(cfg);
 
@@ -333,7 +336,7 @@ cmdRun(const std::string &name)
         wf.setFaultHooks(&injector);
     std::printf("workload %s: %zu modules, %zu functions, %zu blocks, "
                 "text %s\n\n",
-                name.c_str(), wf.program().modules.size(),
+                cfg.name.c_str(), wf.program().modules.size(),
                 wf.program().functionCount(), wf.program().blockCount(),
                 formatBytes(wf.baseline().sizes.text).c_str());
 
@@ -430,9 +433,8 @@ printArtifacts(const core::WpaResult &wpa)
 }
 
 int
-cmdWpa(const std::string &name)
+cmdWpa(const workload::WorkloadConfig &cfg)
 {
-    workload::WorkloadConfig cfg = namedConfig(name);
     buildsys::Workflow wf(cfg);
 
     if (!g_stale_requested) {
@@ -512,9 +514,8 @@ cmdWpa(const std::string &name)
 }
 
 int
-cmdVerify(const std::string &name)
+cmdVerify(const workload::WorkloadConfig &cfg)
 {
-    workload::WorkloadConfig cfg = namedConfig(name);
     buildsys::Workflow wf(cfg);
 
     // IR invariants first — findings are typed support::Status now, so
@@ -577,9 +578,9 @@ cmdVerify(const std::string &name)
 }
 
 int
-cmdDisasm(const std::string &name, const std::string &symbol)
+cmdDisasm(const workload::WorkloadConfig &cfg, const std::string &symbol)
 {
-    buildsys::Workflow wf(namedConfig(name));
+    buildsys::Workflow wf(cfg);
     const linker::Executable &exe = wf.propellerBinary();
     bool found = false;
     for (const auto &sym : exe.symbols) {
@@ -606,16 +607,15 @@ cmdDisasm(const std::string &name, const std::string &symbol)
     }
     if (!found) {
         std::printf("no symbol '%s' in %s\n", symbol.c_str(),
-                    name.c_str());
+                    cfg.name.c_str());
         return 1;
     }
     return 0;
 }
 
 int
-cmdHeatmap(const std::string &name)
+cmdHeatmap(const workload::WorkloadConfig &cfg)
 {
-    workload::WorkloadConfig cfg = namedConfig(name);
     buildsys::Workflow wf(cfg);
     sim::MachineOptions opts = workload::evalOptions(cfg);
     opts.recordHeatMap = true;
@@ -638,10 +638,10 @@ cmdHeatmap(const std::string &name)
  * that gets rolled back through the runtime fleet-config API.
  */
 int
-cmdServe(const std::string &name)
+cmdServe(const workload::WorkloadConfig &cfg)
 {
     fleet::FleetOptions fo;
-    fo.base = namedConfig(name);
+    fo.base = cfg;
     fo.machines = g_machines;
     fo.versions = g_versions;
     fo.interVersionDrift = g_drift_pct / 100.0;
@@ -669,7 +669,7 @@ cmdServe(const std::string &name)
 
     std::printf("fleet service: %u machine(s) on %u version(s) of %s, "
                 "drift threshold %.3f (%s)%s\n",
-                fo.machines, fo.versions, name.c_str(), fo.driftThreshold,
+                fo.machines, fo.versions, cfg.name.c_str(), fo.driftThreshold,
                 fo.weightedDrift ? "size-weighted" : "unweighted",
                 chaos ? ", chaos on" : "");
 
@@ -980,17 +980,27 @@ main(int argc, char **argv)
     const std::string &cmd = args[0];
     if (cmd == "list")
         return cmdList();
+    if (args.size() < 2)
+        return usage();
+    support::StatusOr<workload::WorkloadConfig> found =
+        namedConfig(args[1]);
+    if (!found.ok()) {
+        std::printf("propeller-cli: %s\n",
+                    found.status().toString().c_str());
+        return usage();
+    }
+    const workload::WorkloadConfig &cfg = found.value();
     if (cmd == "run" && args.size() == 2)
-        return cmdRun(args[1]);
+        return cmdRun(cfg);
     if (cmd == "wpa" && args.size() == 2)
-        return cmdWpa(args[1]);
+        return cmdWpa(cfg);
     if (cmd == "verify" && args.size() == 2)
-        return cmdVerify(args[1]);
+        return cmdVerify(cfg);
     if (cmd == "disasm" && args.size() == 3)
-        return cmdDisasm(args[1], args[2]);
+        return cmdDisasm(cfg, args[2]);
     if (cmd == "heatmap" && args.size() == 2)
-        return cmdHeatmap(args[1]);
+        return cmdHeatmap(cfg);
     if (cmd == "serve" && args.size() == 2)
-        return cmdServe(args[1]);
+        return cmdServe(cfg);
     return usage();
 }
