@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <set>
 
+#include "support/json.h"
+
 namespace propeller::analysis {
 
 namespace {
@@ -48,24 +50,7 @@ void
 appendJsonString(std::string &out, const std::string &s)
 {
     out += '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
+    out += support::jsonEscape(s);
     out += '"';
 }
 

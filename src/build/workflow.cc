@@ -53,6 +53,16 @@ codegenActionMemory(uint64_t insts, uint64_t object_bytes)
     return insts * 200 + object_bytes * 3;
 }
 
+/** Read cluster directives straight out of a whole-program map. */
+std::function<const codegen::ClusterSpec *(const std::string &)>
+lookupIn(const codegen::ClusterMap &map)
+{
+    return [&map](const std::string &fn) -> const codegen::ClusterSpec * {
+        auto it = map.find(fn);
+        return it == map.end() ? nullptr : &it->second;
+    };
+}
+
 } // namespace
 
 // ---- CostModel ------------------------------------------------------
@@ -173,133 +183,195 @@ Workflow::actionKey(size_t module_index,
     return key;
 }
 
+/** Per-module slots and ordered commit state of one codegen stage. */
+struct Workflow::CodegenStage
+{
+    ClusterLookup clusters;
+    const core::PrefetchMap *prefetches = nullptr;
+    CompileBatch batch;                 ///< objects: one slot per module.
+    std::vector<sched::TaskId> tasks;   ///< One codegen task per module.
+    std::vector<char> isHit;            ///< Served from the cache.
+    std::vector<std::vector<std::string>> dropped; ///< Sanitized away.
+    std::vector<std::string> rejectLines;
+    std::vector<std::string> retryLines;
+    std::vector<double> missCosts;      ///< In module order.
+    sched::OrderedSink sink;
+    uint64_t corruptionsBefore = 0;
+};
+
+void
+Workflow::addCodegenStage(sched::TaskGraph &graph, CodegenStage &stage,
+                          ClusterLookup clusters,
+                          const core::PrefetchMap *prefetches,
+                          const std::string &phase)
+{
+    const ir::Program &prog = program();
+    const size_t nmod = prog.modules.size();
+    hashModules(); // Action keys read the hashes from every task.
+    stage.clusters = std::move(clusters);
+    stage.prefetches = prefetches;
+    stage.batch.objects.resize(nmod);
+    stage.isHit.assign(nmod, 0);
+    stage.dropped.resize(nmod);
+    stage.tasks.resize(nmod);
+    stage.corruptionsBefore = cache_.stats().corruptions;
+
+    for (size_t i = 0; i < nmod; ++i) {
+        stage.tasks[i] = graph.add(
+            [this, &graph, &stage, &prog, i] {
+                const ir::Module &mod = *prog.modules[i];
+                codegen::Options copts;
+                copts.emitAddrMapSection = true;
+                copts.prefetches = stage.prefetches;
+
+                // This module's restriction of the cluster map.
+                // Sanitation validates entries independently, so the
+                // sanitized restriction equals the restriction of the
+                // sanitized full map, and the action key (which reads
+                // only the module's own entries) is the full map's.
+                codegen::ClusterMap submap;
+                if (stage.clusters) {
+                    for (const auto &fn : mod.functions)
+                        if (const codegen::ClusterSpec *spec =
+                                stage.clusters(fn->name))
+                            submap.emplace(fn->name, *spec);
+                    stage.dropped[i] =
+                        codegen::sanitizeClusterMap(prog, submap);
+                    copts.bbSections = codegen::BbSectionsMode::Clusters;
+                    copts.clusters = &submap;
+                }
+                const uint64_t key =
+                    actionKey(i, copts.clusters, stage.prefetches, true);
+
+                // A hit must survive both the cache's byte-hash check
+                // (lookup returns nullptr on mismatch) and structural
+                // deserialization; either failure evicts the entry and
+                // the action re-executes as a miss.
+                elf::ObjectFile &obj = stage.batch.objects[i];
+                bool hit = false;
+                std::string reject;
+                if (const std::vector<uint8_t> *bytes = cache_.lookup(key)) {
+                    auto cached = elf::ObjectFile::deserializeChecked(*bytes);
+                    if (cached.ok()) {
+                        obj = std::move(cached).value();
+                        hit = true;
+                    } else {
+                        cache_.evictCorrupt(key);
+                        reject = "cache artifact rejected (" + mod.name +
+                                 "): " + cached.status().toString();
+                    }
+                }
+                if (!hit)
+                    obj = codegen::compileModule(mod, copts);
+                stage.isHit[i] = hit ? 1 : 0;
+
+                const uint64_t insts = moduleInsts(mod);
+                std::vector<uint8_t> stored =
+                    hit ? std::vector<uint8_t>() : obj.serialize();
+
+                // Order-sensitive side effects (cache population, retry
+                // accounting, failure attribution, cost-model inputs)
+                // commit in module order regardless of which worker
+                // finished first.
+                stage.sink.submit(i, [this, &graph, &stage, &obj, &mod, i,
+                                      key, hit, insts,
+                                      reject = std::move(reject),
+                                      stored = std::move(stored)]() mutable {
+                    if (!reject.empty())
+                        stage.rejectLines.push_back(std::move(reject));
+                    if (hit) {
+                        stage.batch.cachedNames.push_back(obj.name);
+                        ++stage.batch.cacheHits;
+                        graph.setCost(stage.tasks[i], 0.0);
+                        return;
+                    }
+                    cache_.put(key, std::move(stored));
+                    double base = static_cast<double>(insts) *
+                                  cost_.backendSecPerInst;
+
+                    // Transient executor failures (injected via hooks)
+                    // are retried with deterministic exponential
+                    // backoff; each failed attempt pays the action cost
+                    // again plus the backoff.  An action that exhausts
+                    // its budget falls back to the coordinator — the
+                    // build degrades in makespan, never in output.
+                    double cost = base;
+                    if (hooks_) {
+                        uint32_t attempts = limits_.maxActionRetries + 1;
+                        uint32_t attempt = 1;
+                        while (attempt <= attempts &&
+                               hooks_->failAction(mod.name, attempt)) {
+                            cost += base +
+                                    limits_.retryBackoffSec *
+                                        static_cast<double>(
+                                            1u << (attempt - 1));
+                            ++stage.batch.retries;
+                            ++attempt;
+                        }
+                        if (attempt > attempts) {
+                            stage.retryLines.push_back(
+                                "retries exhausted, ran on coordinator: " +
+                                mod.name);
+                            cost += base;
+                        }
+                    }
+                    stage.missCosts.push_back(cost);
+                    ++stage.batch.actions;
+                    stage.batch.peakActionMemory = std::max(
+                        stage.batch.peakActionMemory,
+                        codegenActionMemory(insts, obj.sizeInBytes()));
+                    graph.setCost(stage.tasks[i],
+                                  cost + cost_.actionOverheadSec);
+                });
+            },
+            {"codegen:" + prog.modules[i]->name, phase, 0.0});
+    }
+}
+
+Workflow::CompileBatch
+Workflow::finishCodegenStage(CodegenStage &stage)
+{
+    CompileBatch batch = std::move(stage.batch);
+    std::vector<std::string> dropped;
+    for (const auto &names : stage.dropped)
+        dropped.insert(dropped.end(), names.begin(), names.end());
+    // Sorting the per-module drops reproduces the map order of
+    // sanitizing the whole map at once.
+    std::sort(dropped.begin(), dropped.end());
+    batch.quarantined = static_cast<uint32_t>(dropped.size());
+    for (const auto &name : dropped)
+        batch.failures.push_back("cluster directive dropped: " + name);
+    batch.failures.insert(batch.failures.end(), stage.rejectLines.begin(),
+                          stage.rejectLines.end());
+    batch.failures.insert(batch.failures.end(), stage.retryLines.begin(),
+                          stage.retryLines.end());
+    batch.cacheCorruptions = static_cast<uint32_t>(
+        cache_.stats().corruptions - stage.corruptionsBefore);
+    batch.makespanSec = cost_.makespan(stage.missCosts, limits_.workers);
+    return batch;
+}
+
 Workflow::CompileBatch
 Workflow::compileModules(const codegen::ClusterMap *clusters,
                          const core::PrefetchMap *prefetches)
 {
-    const ir::Program &prog = program();
-    size_t n = prog.modules.size();
-
-    CompileBatch batch;
-
-    // Corrupt WPA directives must degrade to per-function fallback, not
-    // abort the backend.  Sanitation is a no-op (and the copy identical)
-    // on honest input, so zero-fault action fingerprints are unchanged.
-    codegen::ClusterMap sanitized;
-    if (clusters) {
-        sanitized = *clusters;
-        std::vector<std::string> dropped =
-            codegen::sanitizeClusterMap(prog, sanitized);
-        for (const auto &name : dropped)
-            batch.failures.push_back("cluster directive dropped: " + name);
-        batch.quarantined = static_cast<uint32_t>(dropped.size());
-        clusters = &sanitized;
-    }
-
-    codegen::Options copts;
-    copts.emitAddrMapSection = true;
-    if (clusters) {
-        copts.bbSections = codegen::BbSectionsMode::Clusters;
-        copts.clusters = clusters;
-    }
-    copts.prefetches = prefetches;
-
-    // Action keys and the deserialization of cache hits fan out over
-    // the local thread pool into per-module slots.  Cache lookups, and
-    // the hit/miss/corruption accounting, run on the coordinating
-    // thread in module order, so they are deterministic.  A hit must
-    // survive both the cache's byte-hash check (lookup returns nullptr
-    // on mismatch) and structural deserialization; either failure
-    // evicts the entry and the action re-executes as a miss.
-    batch.objects.resize(n);
-    hashModules();
-    std::vector<uint64_t> keys(n);
-    parallelFor(config_.jobs, n, [&](size_t i) {
-        keys[i] = actionKey(i, clusters, prefetches, true);
-    });
-    uint64_t corruptions_before = cache_.stats().corruptions;
-    std::vector<const std::vector<uint8_t> *> hits(n);
-    for (size_t i = 0; i < n; ++i)
-        hits[i] = cache_.lookup(keys[i]);
-    std::vector<support::Status> rejects(n);
-    parallelFor(config_.jobs, n, [&](size_t i) {
-        if (!hits[i])
-            return;
-        auto obj = elf::ObjectFile::deserializeChecked(*hits[i]);
-        if (obj.ok())
-            batch.objects[i] = std::move(obj).value();
-        else
-            rejects[i] = obj.status();
-    });
-    std::vector<size_t> misses;
-    for (size_t i = 0; i < n; ++i) {
-        if (hits[i] && rejects[i].ok()) {
-            batch.cachedNames.push_back(batch.objects[i].name);
-            ++batch.cacheHits;
-            continue;
-        }
-        if (hits[i]) {
-            cache_.evictCorrupt(keys[i]);
-            batch.failures.push_back("cache artifact rejected (" +
-                                     prog.modules[i]->name +
-                                     "): " + rejects[i].toString());
-        }
-        misses.push_back(i);
-    }
-    batch.cacheCorruptions = static_cast<uint32_t>(
-        cache_.stats().corruptions - corruptions_before);
-
-    // Only the missing actions execute; they fan out over the local
-    // thread pool.  Results land in per-module slots, so the output is
-    // byte-identical at any thread count.
-    parallelFor(config_.jobs, misses.size(), [&](size_t m) {
-        size_t i = misses[m];
-        batch.objects[i] =
-            codegen::compileModule(*prog.modules[i], copts);
-    });
-
-    std::vector<double> costs;
-    for (size_t i : misses) {
-        cache_.put(keys[i], batch.objects[i].serialize());
-        uint64_t insts = moduleInsts(*prog.modules[i]);
-        double base_cost =
-            static_cast<double>(insts) * cost_.backendSecPerInst;
-
-        // Transient executor failures (injected via hooks) are retried
-        // with deterministic exponential backoff; each failed attempt
-        // pays the action cost again plus the backoff.  An action that
-        // exhausts its budget falls back to the coordinator — the build
-        // degrades in makespan, never in output.
-        double cost = base_cost;
-        if (hooks_) {
-            const std::string &name = prog.modules[i]->name;
-            uint32_t attempts = limits_.maxActionRetries + 1;
-            uint32_t attempt = 1;
-            while (attempt <= attempts &&
-                   hooks_->failAction(name, attempt)) {
-                cost += base_cost +
-                        limits_.retryBackoffSec *
-                            static_cast<double>(1u << (attempt - 1));
-                ++batch.retries;
-                ++attempt;
-            }
-            if (attempt > attempts) {
-                batch.failures.push_back(
-                    "retries exhausted, ran on coordinator: " + name);
-                cost += base_cost;
-            }
-        }
-        costs.push_back(cost);
-        batch.peakActionMemory = std::max(
-            batch.peakActionMemory,
-            codegenActionMemory(insts, batch.objects[i].sizeInBytes()));
-    }
-    batch.actions = static_cast<uint32_t>(misses.size());
-    batch.makespanSec = cost_.makespan(costs, limits_.workers);
-
+    CodegenStage stage;
+    sched::TaskGraph graph;
+    addCodegenStage(graph, stage,
+                    clusters ? lookupIn(*clusters) : ClusterLookup(),
+                    prefetches, "codegen");
+    sched::Scheduler({config_.jobs, limits_.workers}).run(graph);
     if (hooks_)
         hooks_->onCachePopulated(cache_);
-    return batch;
+
+    // A directive naming no function of the program belongs to no
+    // module's restriction; it is dropped like any other invalid one.
+    if (clusters) {
+        for (const auto &entry : *clusters)
+            if (!program().findFunction(entry.first))
+                stage.dropped.push_back({entry.first});
+    }
+    return finishCodegenStage(stage);
 }
 
 void
@@ -602,59 +674,16 @@ Workflow::recordWpaReport()
 const core::WpaResult &
 Workflow::wpa()
 {
-    if (!wpa_) {
-        if (usesTaskGraph()) {
-            runRelinkGraph(RelinkStage::Wpa);
-        } else if (dcfgOverride_) {
-            // Barrier engine with an injected DCFG: run the same staged
-            // pipeline the default path wraps, substituting the DCFG at
-            // applyDcfg() (intra-procedural only, like the fan-out
-            // below).
-            core::WpaPipeline pipeline(metadataBinary(), profile(),
-                                       defaultLayoutOptions(),
-                                       config_.jobs);
-            pipeline.overrideDcfg(std::move(*dcfgOverride_));
-            dcfgOverride_.reset();
-            pipeline.build();
-            std::vector<core::FunctionLayout> slots(
-                pipeline.functionCount());
-            parallelFor(config_.jobs, slots.size(), [&](size_t f) {
-                slots[f] = pipeline.layoutFunction(f);
-            });
-            wpa_ = pipeline.finish(std::move(slots),
-                                   pipeline.globalOrder());
-            recordWpaReport();
-        } else {
-            wpa_ = core::runWholeProgramAnalysis(
-                metadataBinary(), profile(), defaultLayoutOptions(),
-                config_.jobs);
-            recordWpaReport();
-        }
-    }
+    if (!wpa_)
+        runRelinkGraph(RelinkStage::Wpa);
     return *wpa_;
 }
 
 void
 Workflow::ensurePhase4()
 {
-    if (propellerBinary_)
-        return;
-    if (usesTaskGraph()) {
+    if (!propellerBinary_)
         runRelinkGraph(RelinkStage::Link);
-        return;
-    }
-
-    CompileBatch batch = compileModules(&wpa().ccProf.clusters, nullptr);
-    recordCodegenReport("phase4.codegen", batch);
-    coldObjects_ = batch.cachedNames;
-
-    linker::Options opts = linkOptions();
-    opts.outputName = config_.name + ".po";
-    opts.symbolOrder = wpa().ldProf.symbolOrder;
-    opts.stripAddrMaps = true;
-    propellerBinary_ = linkWithReport(batch.objects, opts, "phase4.link",
-                                      batch.cachedNames);
-    phase4Objects_ = std::move(batch.objects);
 }
 
 const linker::Executable &
@@ -665,10 +694,11 @@ Workflow::propellerBinary()
 }
 
 void
-Workflow::recordVerifyReport(const analysis::VerifyReport &rep)
+Workflow::recordVerifyReport(const std::string &phase,
+                             const analysis::VerifyReport &rep)
 {
     PhaseReport report;
-    report.phase = "phase5.verify";
+    report.phase = phase;
     report.makespanSec = cost_.makespan(
         {static_cast<double>(rep.bytesVerified) * cost_.verifySecPerByte},
         1);
@@ -682,60 +712,14 @@ Workflow::recordVerifyReport(const analysis::VerifyReport &rep)
         static_cast<uint32_t>(rep.engine.affectedFunctions().size());
     for (const auto &diag : rep.engine.diagnostics())
         report.failures.push_back(diag.render());
-    reports_["phase5.verify"] = std::move(report);
+    reports_[phase] = std::move(report);
 }
 
 void
 Workflow::ensureVerify()
 {
-    if (verify_)
-        return;
-    if (usesTaskGraph()) {
+    if (!verify_)
         runRelinkGraph(RelinkStage::Verify);
-        return;
-    }
-    ensurePhase4();
-
-    // PO ships with .bb_addr_map stripped, so relink a metadata-keeping
-    // twin from the same Phase 4 objects under the same options.
-    // Stripping only drops metadata — it never moves text — so the twin
-    // must be byte-identical to PO; checking that makes every finding
-    // below a finding about the shipped image.
-    linker::Options opts = linkOptions();
-    opts.outputName = config_.name + ".po-verify";
-    opts.symbolOrder = wpa().ldProf.symbolOrder;
-    verifyTwin_ = linker::link(*phase4Objects_, opts, nullptr);
-    PROPELLER_CHECK(verifyTwin_->text == propellerBinary_->text,
-                    "verification twin text diverged from PO");
-
-    analysis::VerifyOptions vopts;
-    vopts.expectedOrder = &wpa().ldProf;
-    // Functions deliberately degraded upstream sit at input order, not
-    // profile order; exempting them keeps PV015 about real link bugs.
-    for (const auto &name : wpa().stats.quarantinedFunctions)
-        vopts.exemptFunctions.insert(name);
-    const std::string kQuarantinePrefix = "function quarantined: ";
-    for (const auto &line : report("phase4.link").failures)
-        if (line.rfind(kQuarantinePrefix, 0) == 0)
-            vopts.exemptFunctions.insert(
-                line.substr(kQuarantinePrefix.size()));
-
-    analysis::VerifyReport rep = analysis::verifyExecutable(*verifyTwin_,
-                                                            vopts);
-    rep.merge(analysis::lintDirectives(wpa().ccProf, wpa().ldProf,
-                                       metadataBinary(), vopts));
-    {
-        profile::AggregationOptions agg_opts;
-        agg_opts.threads = config_.jobs;
-        profile::AggregatedProfile agg =
-            profile::aggregate(profile(), agg_opts);
-        core::AddrMapIndex index(metadataBinary());
-        core::WholeProgramDcfg dcfg = core::buildDcfg(agg, index);
-        rep.merge(analysis::lintProfileFlow(dcfg, vopts));
-    }
-
-    recordVerifyReport(rep);
-    verify_ = std::move(rep);
 }
 
 void
@@ -775,8 +759,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     sched::TaskId applyTask = sched::kInvalidTask;
     sched::TaskId orderTask = sched::kInvalidTask;
     sched::TaskId mergeTask = sched::kInvalidTask;
-    const bool use_slots = need_wpa;
-    std::vector<sched::TaskId> codegenTask;
+    CodegenStage cg;
     const uint64_t opts_fp =
         core::layoutOptionsFingerprint(defaultLayoutOptions());
 
@@ -789,7 +772,7 @@ Workflow::runRelinkGraph(RelinkStage target)
 
         // The modelled profile-conversion cost, split across the
         // ingestion stages in proportion to their real work so the
-        // stage sum matches the barrier engine's single formula.  The
+        // stage sum matches the phase3.wpa report's formula.  The
         // shard counts are pure functions of the profile and the
         // worker count, never of the schedule.
         profile::AggregationOptions agg_probe;
@@ -976,12 +959,12 @@ Workflow::runRelinkGraph(RelinkStage target)
                 // Wired here — the tasks exist only now — while every
                 // codegen task is still held by its static edge from
                 // this task.
-                for (size_t i = 0; i < codegenTask.size(); ++i) {
+                for (size_t i = 0; i < cg.tasks.size(); ++i) {
                     for (const auto &fn : prog.modules[i]->functions) {
                         auto it = dcfgIndex.find(fn->name);
                         if (it != dcfgIndex.end())
                             graph.addEdge(layoutTask[it->second],
-                                          codegenTask[i]);
+                                          cg.tasks[i]);
                     }
                 }
             },
@@ -992,161 +975,38 @@ Workflow::runRelinkGraph(RelinkStage target)
     }
 
     // ---- Phase 4: per-module codegen + per-object link assembly ---------
-    CompileBatch batch;
-    std::vector<char> isHit;
-    std::vector<uint64_t> objBytes;
-    std::vector<std::vector<std::string>> droppedByModule;
-    std::vector<std::string> rejectLines;
-    std::vector<std::string> retryLines;
-    std::vector<double> missCosts;
-    sched::OrderedSink sink;
     std::vector<sched::TaskId> assembleTask;
     sched::TaskId poLink = sched::kInvalidTask;
     linker::LinkStats poStats;
     std::optional<linker::Executable> po;
-    const uint64_t corruptionsBefore = cache_.stats().corruptions;
 
     if (need_link) {
-        batch.objects.resize(nmod);
-        isHit.assign(nmod, 0);
-        objBytes.assign(nmod, 0);
-        droppedByModule.resize(nmod);
-        codegenTask.resize(nmod);
+        // Directives come from the layout tasks' specs when this graph
+        // computes WPA, from the memoized result otherwise.
+        ClusterLookup clusters;
+        if (need_wpa) {
+            clusters = [&](const std::string &fn)
+                -> const codegen::ClusterSpec * {
+                auto it = dcfgIndex.find(fn);
+                return it == dcfgIndex.end() ? nullptr : &specs[it->second];
+            };
+        } else {
+            clusters = lookupIn(wpa_->ccProf.clusters);
+        }
+        addCodegenStage(graph, cg, std::move(clusters), nullptr,
+                        "phase4.codegen");
         assembleTask.resize(nmod);
 
-        for (size_t i = 0; i < nmod; ++i) {
-            codegenTask[i] = graph.add(
-                [&, i] {
-                    const ir::Module &mod = *prog.modules[i];
-
-                    // This module's restriction of the cluster map.
-                    // Sanitation validates entries independently, so the
-                    // sanitized restriction equals the restriction of
-                    // the sanitized full map, and action keys (which
-                    // read only the module's own entries) match the
-                    // barrier engine exactly.
-                    codegen::ClusterMap submap;
-                    if (use_slots) {
-                        for (const auto &fn : mod.functions) {
-                            auto it = dcfgIndex.find(fn->name);
-                            if (it != dcfgIndex.end())
-                                submap.emplace(fn->name,
-                                               specs[it->second]);
-                        }
-                    } else {
-                        const codegen::ClusterMap &full =
-                            wpa_->ccProf.clusters;
-                        for (const auto &fn : mod.functions) {
-                            auto it = full.find(fn->name);
-                            if (it != full.end())
-                                submap.emplace(fn->name, it->second);
-                        }
-                    }
-                    droppedByModule[i] =
-                        codegen::sanitizeClusterMap(prog, submap);
-                    const uint64_t key =
-                        actionKey(i, &submap, nullptr, true);
-
-                    bool hit = false;
-                    std::string reject;
-                    if (const std::vector<uint8_t> *bytes =
-                            cache_.lookup(key)) {
-                        auto obj =
-                            elf::ObjectFile::deserializeChecked(*bytes);
-                        if (obj.ok()) {
-                            batch.objects[i] = std::move(obj).value();
-                            hit = true;
-                        } else {
-                            cache_.evictCorrupt(key);
-                            reject = "cache artifact rejected (" +
-                                     mod.name +
-                                     "): " + obj.status().toString();
-                        }
-                    }
-                    if (!hit) {
-                        codegen::Options copts;
-                        copts.emitAddrMapSection = true;
-                        copts.bbSections =
-                            codegen::BbSectionsMode::Clusters;
-                        copts.clusters = &submap;
-                        batch.objects[i] =
-                            codegen::compileModule(mod, copts);
-                    }
-                    isHit[i] = hit ? 1 : 0;
-                    objBytes[i] = batch.objects[i].sizeInBytes();
-
-                    const uint64_t insts = moduleInsts(mod);
-                    std::vector<uint8_t> stored =
-                        hit ? std::vector<uint8_t>()
-                            : batch.objects[i].serialize();
-
-                    // Order-sensitive side effects (cache population,
-                    // retry accounting, failure attribution, cost-model
-                    // inputs) commit in module order regardless of
-                    // which worker finished first.
-                    sink.submit(i, [&, i, key, hit, insts, reject,
-                                    stored =
-                                        std::move(stored)]() mutable {
-                        if (!reject.empty())
-                            rejectLines.push_back(reject);
-                        if (hit) {
-                            batch.cachedNames.push_back(
-                                batch.objects[i].name);
-                            ++batch.cacheHits;
-                            graph.setCost(codegenTask[i], 0.0);
-                            return;
-                        }
-                        cache_.put(key, std::move(stored));
-                        double base = static_cast<double>(insts) *
-                                      cost_.backendSecPerInst;
-                        double c = base;
-                        if (hooks_) {
-                            const std::string &name =
-                                prog.modules[i]->name;
-                            uint32_t attempts =
-                                limits_.maxActionRetries + 1;
-                            uint32_t attempt = 1;
-                            while (attempt <= attempts &&
-                                   hooks_->failAction(name, attempt)) {
-                                c += base +
-                                     limits_.retryBackoffSec *
-                                         static_cast<double>(
-                                             1u << (attempt - 1));
-                                ++batch.retries;
-                                ++attempt;
-                            }
-                            if (attempt > attempts) {
-                                retryLines.push_back(
-                                    "retries exhausted, ran on "
-                                    "coordinator: " +
-                                    name);
-                                c += base;
-                            }
-                        }
-                        missCosts.push_back(c);
-                        ++batch.actions;
-                        batch.peakActionMemory = std::max(
-                            batch.peakActionMemory,
-                            codegenActionMemory(
-                                insts, batch.objects[i].sizeInBytes()));
-                        graph.setCost(codegenTask[i],
-                                      c + cost_.actionOverheadSec);
-                    });
-                },
-                {"codegen:" + prog.modules[i]->name, "phase4.codegen",
-                 0.0});
-
-            // When this run computes WPA, every codegen task waits for
-            // the DCFG apply task: its submap reads dcfgIndex/specs,
-            // whose contents exist only after apply.  The apply task
-            // also wires the fine-grained layout -> codegen release
-            // edges (the tentpole: a module's backend re-runs the
-            // moment its last sampled function's layout lands), so a
-            // module starts as soon as those land — never behind
-            // unrelated functions' layouts.
-            if (need_wpa)
-                graph.addEdge(applyTask, codegenTask[i]);
-        }
+        // When this run computes WPA, every codegen task waits for the
+        // DCFG apply task: its submap reads dcfgIndex/specs, whose
+        // contents exist only after apply.  The apply task also wires
+        // the fine-grained layout -> codegen release edges, so a
+        // module's backend re-runs the moment its last sampled
+        // function's layout lands — never behind unrelated functions'
+        // layouts.
+        if (need_wpa)
+            for (sched::TaskId task : cg.tasks)
+                graph.addEdge(applyTask, task);
 
         for (size_t i = 0; i < nmod; ++i) {
             assembleTask[i] = graph.add(
@@ -1159,19 +1019,20 @@ Workflow::runRelinkGraph(RelinkStage target)
                     // and layout finalization stay on the link task.
                     graph.setCost(
                         assembleTask[i],
-                        static_cast<double>(objBytes[i]) *
-                            ((isHit[i] ? cost_.fetchCachedSecPerByte
+                        static_cast<double>(
+                            cg.batch.objects[i].sizeInBytes()) *
+                            ((cg.isHit[i] ? cost_.fetchCachedSecPerByte
                                        : cost_.fetchFreshSecPerByte) +
                              cost_.linkSecPerByte));
                 },
                 {"assemble:" + prog.modules[i]->name, "phase4.link",
                  0.0});
-            graph.addEdge(codegenTask[i], assembleTask[i]);
+            graph.addEdge(cg.tasks[i], assembleTask[i]);
         }
 
         poLink = graph.add(
             [&] {
-                // The hook point the barrier engine fires after a batch
+                // The hook point compileModules fires after a batch
                 // stores its outputs: every codegen commit has run by
                 // now (this task depends on all of them).
                 if (hooks_)
@@ -1180,7 +1041,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                 opts.outputName = config_.name + ".po";
                 opts.symbolOrder = wpa_->ldProf.symbolOrder;
                 opts.stripAddrMaps = true;
-                po = linker::link(batch.objects, opts, &poStats);
+                po = linker::link(cg.batch.objects, opts, &poStats);
             },
             {"link:po", "phase4.link", cost_.actionOverheadSec});
         for (size_t i = 0; i < nmod; ++i)
@@ -1204,7 +1065,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     if (need_verify) {
         vopts.emplace();
         const std::vector<elf::ObjectFile> *vobjects =
-            need_link ? &batch.objects : &*phase4Objects_;
+            need_link ? &cg.batch.objects : &*phase4Objects_;
 
         sched::TaskId twinTask = graph.add(
             [&, vobjects] {
@@ -1326,19 +1187,14 @@ Workflow::runRelinkGraph(RelinkStage target)
     }
 
     // ---- Execute --------------------------------------------------------
-    sched::SchedulerOptions sopts;
-    sopts.threads = config_.jobs;
-    sopts.modelWorkers = limits_.workers;
-    sopts.fifoQueues = config_.fifoScheduler;
-    sched::ScheduleReport sreport = sched::Scheduler(sopts).run(graph);
+    schedule_ = sched::Scheduler({config_.jobs, limits_.workers}).run(graph);
 
-    // ---- Coordinator finalize: memoize + mode-identical reports ---------
+    // ---- Coordinator finalize: memoize + per-phase reports --------------
     //
-    // The classic PhaseReports use the same barrier formulas as the
-    // barrier engine (inputs are identical by construction), so every
-    // consumer sees identical accounting; the graph's overlap story
-    // lives in relinkSchedule() and the "relink.graph" report.
-    schedule_ = std::move(sreport);
+    // The classic PhaseReports keep their per-phase formulas (a barrier
+    // schedule's accounting), so consumers see the same numbers whatever
+    // the overlap; the graph's overlap story lives in relinkSchedule()
+    // and the "relink.graph" report.
     {
         PhaseReport report;
         report.phase = "relink.graph";
@@ -1351,23 +1207,7 @@ Workflow::runRelinkGraph(RelinkStage target)
         recordWpaReport();
 
     if (need_link) {
-        std::vector<std::string> dropped;
-        for (const auto &names : droppedByModule)
-            dropped.insert(dropped.end(), names.begin(), names.end());
-        // The barrier engine sanitizes one full map and reports drops in
-        // map order; sorting the per-module drops reproduces that order.
-        std::sort(dropped.begin(), dropped.end());
-        batch.quarantined = static_cast<uint32_t>(dropped.size());
-        for (const auto &name : dropped)
-            batch.failures.push_back("cluster directive dropped: " +
-                                     name);
-        batch.failures.insert(batch.failures.end(), rejectLines.begin(),
-                              rejectLines.end());
-        batch.failures.insert(batch.failures.end(), retryLines.begin(),
-                              retryLines.end());
-        batch.cacheCorruptions = static_cast<uint32_t>(
-            cache_.stats().corruptions - corruptionsBefore);
-        batch.makespanSec = cost_.makespan(missCosts, limits_.workers);
+        CompileBatch batch = finishCodegenStage(cg);
         recordCodegenReport("phase4.codegen", batch);
         coldObjects_ = batch.cachedNames;
         reports_["phase4.link"] = makeLinkReport(
@@ -1383,7 +1223,7 @@ Workflow::runRelinkGraph(RelinkStage target)
         rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
                                            pm, *vopts));
         rep.merge(analysis::lintProfileFlow(*flowDcfg, *vopts));
-        recordVerifyReport(rep);
+        recordVerifyReport("phase5.verify", rep);
         verify_ = std::move(rep);
         verifyTwin_ = std::move(twin);
     }
@@ -1551,22 +1391,7 @@ Workflow::verifyBoltBinary(const bolt::BoltOptions &opts,
     // machine-checked findings on this path too.
     analysis::VerifyOptions vopts;
     analysis::VerifyReport rep = analysis::verifyExecutable(exe, vopts);
-
-    PhaseReport report;
-    report.phase = "bolt.verify";
-    report.makespanSec = cost_.makespan(
-        {static_cast<double>(rep.bytesVerified) * cost_.verifySecPerByte},
-        1);
-    report.actions = 1;
-    report.peakActionMemory =
-        rep.instructionsDecoded * 56 + rep.rangesDecoded * 96;
-    report.memoryLimitExceeded =
-        report.peakActionMemory > limits_.ramPerAction;
-    report.quarantined =
-        static_cast<uint32_t>(rep.engine.affectedFunctions().size());
-    for (const auto &diag : rep.engine.diagnostics())
-        report.failures.push_back(diag.render());
-    reports_["bolt.verify"] = std::move(report);
+    recordVerifyReport("bolt.verify", rep);
     return rep;
 }
 

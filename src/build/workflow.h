@@ -28,21 +28,24 @@
  * any thread count.
  *
  * The relink chain (Phase 3 WPA -> Phase 4 codegen -> link -> Phase 5
- * verify) runs, by default, as ONE fine-grained task graph on the
- * work-stealing scheduler of src/sched: per-function Ext-TSP layouts,
- * per-module codegen, per-object link assembly and per-range
- * verification are tasks with real data dependencies, so a module's
- * backend re-runs the moment its last hot function's layout lands and
- * verification overlaps the tail of linking — no phase barriers.
+ * verify) runs as ONE fine-grained task graph on the work-stealing
+ * scheduler of src/sched: per-function Ext-TSP layouts, per-module
+ * codegen, per-object link assembly and per-range verification are
+ * tasks with real data dependencies, so a module's backend re-runs the
+ * moment its last hot function's layout lands and verification overlaps
+ * the tail of linking — no phase barriers.  Every other codegen batch
+ * (Phase 2, the prefetch and iterative rounds, layout ablations) runs
+ * the same per-module codegen stage on a small graph of its own.
  * Order-sensitive side effects (cache population, retry accounting,
  * failure attribution) commit through an OrderedSink in module order,
- * so artifacts, reports and cache statistics are byte-identical to the
- * barrier engine (kept behind WorkloadConfig::barrierScheduler for
- * ablation) at any thread count.  relinkSchedule() exposes the modelled
- * schedule: critical path, makespan, parallel efficiency, steals.
+ * so artifacts, reports and cache statistics are byte-identical at any
+ * thread count, and the PhaseReports keep the per-phase makespan
+ * formulas.  relinkSchedule() exposes the modelled schedule: critical
+ * path, makespan, parallel efficiency, steals.
  */
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -224,9 +227,6 @@ class Workflow
      * every phase's cost model and the scheduler's virtual workers.
      */
     void setBuildLimits(const BuildLimits &limits) { limits_ = limits; }
-
-    /** The relink chain runs on the task-graph scheduler (default). */
-    bool usesTaskGraph() const { return !config_.barrierScheduler; }
 
     /** The program IR (Phase 1 product; generated on first use). */
     const ir::Program &program();
@@ -439,8 +439,35 @@ class Workflow
                        bool emit_addr_map) const;
 
     /**
-     * Compile every module, serving unchanged actions from the cache.
-     * Misses compile in parallel (jobs threads) and are stored back.
+     * Where a codegen stage reads a function's cluster directive
+     * (nullptr: none).  An empty lookup means there is no cluster map at
+     * all, and modules compile in the default section mode (Phase 2).
+     */
+    using ClusterLookup = std::function<const codegen::ClusterSpec *(
+        const std::string &function)>;
+
+    /** The in-flight state of one codegen stage (see addCodegenStage). */
+    struct CodegenStage;
+
+    /**
+     * Add one codegen task per module to @p graph.  Each task restricts
+     * the cluster directives to its module and sanitizes them, keys the
+     * action, serves it from the content cache (a hit that fails
+     * deserialization is evicted and rebuilt) or compiles it; cache
+     * puts, retries, cost and memory then commit in module order
+     * through an OrderedSink.  Tasks are labelled under @p phase.
+     */
+    void addCodegenStage(sched::TaskGraph &graph, CodegenStage &stage,
+                         ClusterLookup clusters,
+                         const core::PrefetchMap *prefetches,
+                         const std::string &phase);
+
+    /** Fold a codegen stage whose graph has run into its batch. */
+    CompileBatch finishCodegenStage(CodegenStage &stage);
+
+    /**
+     * Compile every module as one codegen stage on a graph of its own,
+     * serving unchanged actions from the cache.
      */
     CompileBatch compileModules(const codegen::ClusterMap *clusters,
                                 const core::PrefetchMap *prefetches);
@@ -449,7 +476,7 @@ class Workflow
     void recordCodegenReport(const std::string &phase,
                              const CompileBatch &batch);
 
-    /** The link-phase report (same formula for both engines). */
+    /** The link-phase report (one action: fetch + link every input). */
     PhaseReport makeLinkReport(
         const std::string &phase,
         const std::vector<elf::ObjectFile> &objects,
@@ -459,8 +486,9 @@ class Workflow
     /** Record "phase3.wpa" from the memoized WPA stats. */
     void recordWpaReport();
 
-    /** Record "phase5.verify" from a merged verification report. */
-    void recordVerifyReport(const analysis::VerifyReport &rep);
+    /** Record a verification report ("phase5.verify", "bolt.verify"). */
+    void recordVerifyReport(const std::string &phase,
+                            const analysis::VerifyReport &rep);
 
     /** Link with cost accounting; records a report under @p phase. */
     linker::Executable linkWithReport(
@@ -479,8 +507,7 @@ class Workflow
      * Build and run one task graph covering every unmemoized relink
      * stage up to @p target (WPA layout fan-out, per-module codegen,
      * link assembly, per-range verification), then record the classic
-     * PhaseReports — with the same barrier formulas, so reports are
-     * mode-identical — plus "relink.graph" and the ScheduleReport.
+     * per-phase PhaseReports plus "relink.graph" and the ScheduleReport.
      */
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;

@@ -59,9 +59,10 @@ struct WpaResult
 };
 
 /**
- * Phase 3 decomposed into schedulable stages, shared by the barrier
- * entry point below and the task-graph relink engine so both produce
- * byte-identical artifacts and identical stats by construction:
+ * Phase 3 decomposed into schedulable stages, shared by the standalone
+ * entry point below (ablation rebuilds, the iterative round) and the
+ * task-graph relink engine, so both produce byte-identical artifacts and
+ * identical stats by construction:
  *
  *   build()                  — aggregate profile, index, DCFG (serial);
  *   layoutFunction(f)        — per-function Ext-TSP, any thread/order;

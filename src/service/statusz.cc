@@ -6,6 +6,8 @@
 #include <sstream>
 #include <string>
 
+#include "support/json.h"
+
 namespace propeller::fleet {
 
 namespace {
@@ -35,43 +37,6 @@ indent(const std::string &block, const char *prefix)
         out.append(block, pos, eol - pos);
         out += '\n';
         pos = eol + 1;
-    }
-    return out;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += fmt("\\u%04x", static_cast<unsigned>(c));
-            else
-                out += c;
-        }
     }
     return out;
 }
@@ -179,7 +144,8 @@ renderStatuszJson(const FleetService &service)
     std::ostringstream os;
 
     os << "{\n";
-    os << "  \"workload\": \"" << jsonEscape(opts.base.name) << "\",\n";
+    os << "  \"workload\": \"" << support::jsonEscape(opts.base.name)
+       << "\",\n";
     os << fmt("  \"machines\": %u,\n", opts.machines);
     os << fmt("  \"versions\": %u,\n", service.versionCount());
     os << fmt("  \"target_version\": %u,\n", service.targetVersion());

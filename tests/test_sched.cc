@@ -20,6 +20,7 @@
 
 #include "build/workflow.h"
 #include "faultinject/faultinject.h"
+#include "json_reader.h"
 #include "sched/sched.h"
 #include "support/hash.h"
 #include "test_util.h"
@@ -35,13 +36,11 @@ using sched::TaskGraph;
 using sched::TaskId;
 
 ScheduleReport
-runWith(TaskGraph &graph, unsigned threads, unsigned model_workers = 8,
-        bool fifo = false)
+runWith(TaskGraph &graph, unsigned threads, unsigned model_workers = 8)
 {
     SchedulerOptions opts;
     opts.threads = threads;
     opts.modelWorkers = model_workers;
-    opts.fifoQueues = fifo;
     return Scheduler(opts).run(graph);
 }
 
@@ -238,7 +237,7 @@ struct PropertyOutcome
 };
 
 PropertyOutcome
-runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
+runRandomDag(uint64_t seed, unsigned threads)
 {
     // Deterministic per-seed structure: ~36 tasks, each depending on up
     // to 3 earlier tasks.
@@ -285,7 +284,7 @@ runRandomDag(uint64_t seed, unsigned threads, bool fifo = false)
             g.addEdge(ids[d], ids[i]);
     }
 
-    ScheduleReport rep = runWith(g, threads, 8, fifo);
+    ScheduleReport rep = runWith(g, threads, 8);
     PropertyOutcome out;
     out.resultHash = 0xcbf29ce484222325ull;
     for (uint64_t v : value)
@@ -316,24 +315,32 @@ TEST(SchedulerProperty, HundredSeedsIdenticalAcrossWorkerCounts)
     }
 }
 
-TEST(SchedulerProperty, HundredSeedsFifoMatchesPriority)
+TEST(ChromeTrace, EscapesTaskLabels)
 {
-    // Queue policy (critical-path priority vs FIFO) changes only the
-    // real-time execution order, never the data a DAG computes, the
-    // attribution transcript, or the virtual-time model.
-    for (uint64_t seed = 1; seed <= 100; ++seed) {
-        PropertyOutcome pri = runRandomDag(seed, 8, /*fifo=*/false);
-        for (unsigned threads : {1u, 2u, 8u}) {
-            PropertyOutcome fifo = runRandomDag(seed, threads, true);
-            ASSERT_EQ(fifo.resultHash, pri.resultHash)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_EQ(fifo.transcript, pri.transcript)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_DOUBLE_EQ(fifo.makespanSec, pri.makespanSec)
-                << "seed " << seed << " threads " << threads;
-            ASSERT_EQ(fifo.tasksExecuted, pri.tasksExecuted);
-        }
+    // Labels carry module and function names; quotes and control bytes
+    // in them must not break the trace JSON.
+    const std::string label = "codegen:\"\n\x01";
+    TaskGraph g;
+    g.add([] {}, {label, "phase4.codegen", 0.5});
+    ScheduleReport rep = runWith(g, 1, 2);
+
+    const std::string path = ::testing::TempDir() + "/sched_trace.json";
+    ASSERT_TRUE(sched::writeChromeTrace(rep, path));
+    std::string json;
+    if (std::FILE *f = std::fopen(path.c_str(), "rb")) {
+        char buf[4096];
+        size_t n;
+        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            json.append(buf, n);
+        std::fclose(f);
     }
+    std::remove(path.c_str());
+
+    test::JsonReader reader(json);
+    ASSERT_TRUE(reader.parse()) << json;
+    // The task's X event is the last "name" member in the file.
+    EXPECT_EQ(reader.strings["name"], label);
+    EXPECT_EQ(reader.strings["cat"], "phase4.codegen");
 }
 
 // ---- Workflow-level identity ------------------------------------------
@@ -351,13 +358,11 @@ struct EngineOutput
 };
 
 EngineOutput
-runEngine(unsigned jobs, bool barrier, bool faults, bool fifo = false)
+runEngine(unsigned jobs, bool faults)
 {
     workload::WorkloadConfig cfg = test::smallConfig(91);
     cfg.name = "schedtest";
     cfg.jobs = jobs;
-    cfg.barrierScheduler = barrier;
-    cfg.fifoScheduler = fifo;
 
     faultinject::FaultSpec spec;
     spec.seed = 23;
@@ -381,61 +386,44 @@ runEngine(unsigned jobs, bool barrier, bool faults, bool fifo = false)
     return out;
 }
 
-TEST(EngineIdentity, TaskGraphMatchesBarrierEngine)
-{
-    // The ablation contract: both engines ship the same bytes, the same
-    // failure attribution and the same modelled phase accounting.
-    for (bool faults : {false, true}) {
-        EngineOutput graph = runEngine(4, false, faults);
-        EngineOutput barrier = runEngine(4, true, faults);
-        EXPECT_EQ(graph.text, barrier.text) << "faults=" << faults;
-        EXPECT_EQ(graph.verifyText, barrier.verifyText);
-        EXPECT_EQ(graph.codegenFailures, barrier.codegenFailures);
-        EXPECT_EQ(graph.linkFailures, barrier.linkFailures);
-        EXPECT_DOUBLE_EQ(graph.codegenMakespan, barrier.codegenMakespan);
-        EXPECT_EQ(graph.retries, barrier.retries);
-        EXPECT_EQ(graph.cacheCorruptions, barrier.cacheCorruptions);
-    }
-}
-
 TEST(EngineIdentity, TaskGraphIdenticalAcrossJobCounts)
 {
-    // Under fault injection (cache rot + transient action failures) the
-    // attribution lines and retry accounting must not depend on which
-    // worker got where first.
-    EngineOutput base = runEngine(1, false, true);
-    for (unsigned jobs : {2u, 8u}) {
-        EngineOutput got = runEngine(jobs, false, true);
-        EXPECT_EQ(got.text, base.text) << "jobs " << jobs;
-        EXPECT_EQ(got.verifyText, base.verifyText) << "jobs " << jobs;
-        EXPECT_EQ(got.codegenFailures, base.codegenFailures);
-        EXPECT_EQ(got.linkFailures, base.linkFailures);
-        EXPECT_DOUBLE_EQ(got.codegenMakespan, base.codegenMakespan);
-        EXPECT_EQ(got.retries, base.retries);
-        EXPECT_EQ(got.cacheCorruptions, base.cacheCorruptions);
+    // With and without fault injection (cache rot + transient action
+    // failures), the shipped bytes, attribution lines and retry
+    // accounting must not depend on which worker got where first.
+    for (bool faults : {false, true}) {
+        EngineOutput base = runEngine(1, faults);
+        for (unsigned jobs : {2u, 8u}) {
+            EngineOutput got = runEngine(jobs, faults);
+            EXPECT_EQ(got.text, base.text)
+                << "faults=" << faults << " jobs=" << jobs;
+            EXPECT_EQ(got.verifyText, base.verifyText);
+            EXPECT_EQ(got.codegenFailures, base.codegenFailures);
+            EXPECT_EQ(got.linkFailures, base.linkFailures);
+            EXPECT_DOUBLE_EQ(got.codegenMakespan, base.codegenMakespan);
+            EXPECT_EQ(got.retries, base.retries);
+            EXPECT_EQ(got.cacheCorruptions, base.cacheCorruptions);
+        }
     }
 }
 
-TEST(EngineIdentity, FifoQueuesShipIdenticalArtifacts)
+TEST(EngineIdentity, AblationRebuildHitsPhase4Cache)
 {
-    // The scheduling-policy ablation: FIFO worker queues vs
-    // critical-path priority queues must ship the same bytes and the
-    // same failure attribution at every job count, with and without
-    // fault injection.
-    for (bool faults : {false, true}) {
-        EngineOutput pri = runEngine(8, false, faults, /*fifo=*/false);
-        for (unsigned jobs : {1u, 2u, 8u}) {
-            EngineOutput fifo = runEngine(jobs, false, faults, true);
-            EXPECT_EQ(fifo.text, pri.text)
-                << "faults=" << faults << " jobs=" << jobs;
-            EXPECT_EQ(fifo.verifyText, pri.verifyText);
-            EXPECT_EQ(fifo.codegenFailures, pri.codegenFailures);
-            EXPECT_EQ(fifo.linkFailures, pri.linkFailures);
-            EXPECT_DOUBLE_EQ(fifo.codegenMakespan, pri.codegenMakespan);
-            EXPECT_EQ(fifo.retries, pri.retries);
-            EXPECT_EQ(fifo.cacheCorruptions, pri.cacheCorruptions);
-        }
-    }
+    // The relink graph keys each module's action on its restriction of
+    // the cluster map; a whole-map batch over the same directives must
+    // land on the very same keys, so rebuilding with the default layout
+    // options serves every module from the Phase 4 cache.
+    workload::WorkloadConfig cfg = test::smallConfig(91);
+    cfg.name = "schedtest";
+    cfg.jobs = 4;
+    buildsys::Workflow wf(cfg);
+    const std::vector<uint8_t> text = wf.propellerBinary().text;
+    const buildsys::CacheStats before = wf.cacheStats();
+
+    EXPECT_EQ(wf.propellerBinaryWith(core::LayoutOptions{}).text, text);
+    const buildsys::CacheStats &after = wf.cacheStats();
+    EXPECT_EQ(after.hits - before.hits, wf.program().modules.size());
+    EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST(EngineIdentity, WarmLayoutCacheRerunIsByteIdentical)

@@ -1,12 +1,14 @@
 /**
  * @file
  * Unit tests for the support library: memory metering, RNG, hashing,
- * ULEB128, unit formatting, table rendering.
+ * ULEB128, unit formatting, table rendering, JSON string escaping.
  */
 
 #include <gtest/gtest.h>
 
+#include "json_reader.h"
 #include "support/hash.h"
+#include "support/json.h"
 #include "support/leb128.h"
 #include "support/memory_meter.h"
 #include "support/rng.h"
@@ -203,6 +205,25 @@ TEST(Leb128, EmptyInputFails)
     std::vector<uint8_t> buf;
     size_t pos = 0;
     EXPECT_FALSE(decodeUleb128(buf, pos).has_value());
+}
+
+TEST(Json, EscapedControlBytesRoundTripThroughStrictParse)
+{
+    std::string raw;
+    for (int c = 0x00; c < 0x20; ++c)
+        raw += static_cast<char>(c);
+    raw += "\"\\/ plain text";
+
+    const std::string escaped = support::jsonEscape(raw);
+    for (char c : escaped)
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << escaped;
+    EXPECT_NE(escaped.find("\\u0001"), std::string::npos);
+    EXPECT_NE(escaped.find("\\n"), std::string::npos);
+
+    const std::string doc = "{\"s\": \"" + escaped + "\"}";
+    test::JsonReader reader(doc);
+    ASSERT_TRUE(reader.parse()) << doc;
+    EXPECT_EQ(reader.strings["s"], raw);
 }
 
 TEST(Units, FormatBytes)

@@ -72,9 +72,6 @@ namespace {
  */
 unsigned g_jobs = 0;
 
-/** --scheduler barrier: run the phase-barriered engine (ablation). */
-bool g_barrier = false;
-
 /** --backend bolt: route the verify subcommand at the BOLT output. */
 std::string g_backend = "propeller";
 
@@ -129,7 +126,6 @@ namedConfig(const std::string &name)
         return found;
     workload::WorkloadConfig cfg = std::move(found).value();
     cfg.jobs = g_jobs;
-    cfg.barrierScheduler = g_barrier;
     return cfg;
 }
 
@@ -750,9 +746,6 @@ usage()
                 "                      stage: layout, codegen, link\n"
                 "                      assembly, verification\n"
                 "                      (default: all hardware threads)\n"
-                "  --scheduler S       relink engine: taskgraph (default)\n"
-                "                      or barrier (phase-barriered\n"
-                "                      ablation; identical artifacts)\n"
                 "  --backend B         verify: propeller (default) or\n"
                 "                      bolt — aim the static verifier at\n"
                 "                      the chosen optimizer's output\n"
@@ -821,17 +814,6 @@ main(int argc, char **argv)
                 return usage();
             }
             g_jobs = static_cast<unsigned>(n);
-            continue;
-        }
-        if (arg == "--scheduler" && i + 1 < argc) {
-            std::string mode = argv[++i];
-            if (mode != "taskgraph" && mode != "barrier") {
-                std::printf("propeller-cli: --scheduler expects "
-                            "'taskgraph' or 'barrier', got '%s'\n",
-                            mode.c_str());
-                return usage();
-            }
-            g_barrier = mode == "barrier";
             continue;
         }
         if (arg == "--backend" && i + 1 < argc) {
