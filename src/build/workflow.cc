@@ -12,7 +12,6 @@
 #include "sim/machine.h"
 #include "support/check.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace propeller::buildsys {
 
@@ -99,40 +98,30 @@ Workflow::program()
     return *program_;
 }
 
-void
-Workflow::hashModules() const
-{
-    assert(program_ && "program() must be generated first");
-    if (moduleHashes_.empty()) {
-        // Each module hashes into its own slot: the same values at any
-        // thread count.
-        const auto &mods = program_->modules;
-        moduleHashes_.resize(mods.size());
-        parallelFor(config_.jobs, mods.size(), [&](size_t i) {
-            const ir::Module *mod = mods[i].get();
-            uint64_t h = fnv1a(mod->name);
-            h = hashCombine(h, mod->rodataBytes);
-            for (const auto &fn : mod->functions) {
-                h = fnv1a(fn->name, h);
-                h = hashCombine(h, fn->isHandAsm ? 1 : 0);
-                h = hashCombine(h, fn->hasIntegrityCheck ? 1 : 0);
-                for (const auto &bb : fn->blocks) {
-                    h = hashCombine(h, bb->id);
-                    h = hashCombine(h, bb->isLandingPad ? 1 : 0);
-                    for (const auto &inst : bb->insts)
-                        h = hashInst(h, inst);
-                }
-            }
-            moduleHashes_[i] = h;
-        });
-    }
-}
-
 uint64_t
 Workflow::moduleHash(size_t module_index) const
 {
-    hashModules();
-    return moduleHashes_[module_index];
+    // Memoized per slot: only module module_index's codegen task reads
+    // or writes its slot, so hashes fill in from every task at once.
+    std::optional<uint64_t> &slot = moduleHashes_[module_index];
+    if (!slot) {
+        const ir::Module &mod = *program_->modules[module_index];
+        uint64_t h = fnv1a(mod.name);
+        h = hashCombine(h, mod.rodataBytes);
+        for (const auto &fn : mod.functions) {
+            h = fnv1a(fn->name, h);
+            h = hashCombine(h, fn->isHandAsm ? 1 : 0);
+            h = hashCombine(h, fn->hasIntegrityCheck ? 1 : 0);
+            for (const auto &bb : fn->blocks) {
+                h = hashCombine(h, bb->id);
+                h = hashCombine(h, bb->isLandingPad ? 1 : 0);
+                for (const auto &inst : bb->insts)
+                    h = hashInst(h, inst);
+            }
+        }
+        slot = h;
+    }
+    return *slot;
 }
 
 uint64_t
@@ -207,7 +196,7 @@ Workflow::addCodegenStage(sched::TaskGraph &graph, CodegenStage &stage,
 {
     const ir::Program &prog = program();
     const size_t nmod = prog.modules.size();
-    hashModules(); // Action keys read the hashes from every task.
+    moduleHashes_.resize(nmod); // One memo slot per codegen task.
     stage.clusters = std::move(clusters);
     stage.prefetches = prefetches;
     stage.batch.objects.resize(nmod);
@@ -742,26 +731,19 @@ Workflow::runRelinkGraph(RelinkStage target)
 
     // ---- Phase 3: staged profile ingestion + per-function layout --------
     //
-    // Ingestion runs as first-class graph tasks (prepare -> aggregation
-    // shards -> merge; prepare -> index; -> map setup -> resolution
-    // shards -> apply), so decoding the profile overlaps whatever else
-    // the graph holds.  The per-function fan-out's *shape* depends on
-    // the DCFG the apply task produces, so the apply task adds the
-    // layout tasks dynamically — listing itself as their dependency so
-    // none is released until all successor edges are wired — and every
-    // codegen task takes a static edge from it.
+    // The WPA stages (core::WpaPipeline::addStages) are first-class graph
+    // tasks, so decoding the profile overlaps whatever else the graph
+    // holds.  The per-function fan-out's *shape* depends on the DCFG the
+    // apply task produces, so the apply task adds the layout tasks
+    // dynamically, and every codegen task takes a static edge from it.
     std::optional<core::WpaPipeline> pipe;
-    std::vector<core::FunctionLayout> slots;
+    core::WpaPipeline::StageTasks wpaTasks;
     std::vector<codegen::ClusterSpec> specs;
-    core::LdProfile order;
     std::unordered_map<std::string, size_t> dcfgIndex;
-    std::vector<sched::TaskId> layoutTask;
-    sched::TaskId applyTask = sched::kInvalidTask;
-    sched::TaskId orderTask = sched::kInvalidTask;
-    sched::TaskId mergeTask = sched::kInvalidTask;
     CodegenStage cg;
-    const uint64_t opts_fp =
-        core::layoutOptionsFingerprint(defaultLayoutOptions());
+    // An injected DCFG is not flow-linted (see the lint.flow task).
+    const bool lint_flow =
+        need_wpa ? !dcfgOverride_.has_value() : flowDcfg_.has_value();
 
     if (need_wpa) {
         pipe.emplace(pm, prof, defaultLayoutOptions(), config_.jobs);
@@ -770,208 +752,86 @@ Workflow::runRelinkGraph(RelinkStage target)
             dcfgOverride_.reset();
         }
 
-        // The modelled profile-conversion cost, split across the
-        // ingestion stages in proportion to their real work so the
-        // stage sum matches the phase3.wpa report's formula.  The
-        // shard counts are pure functions of the profile and the
-        // worker count, never of the schedule.
-        profile::AggregationOptions agg_probe;
-        agg_probe.threads = config_.jobs;
-        const size_t agg_shards =
-            profile::aggregationShardCount(prof, agg_probe);
-        const size_t resolve_shards =
-            std::max<size_t>(1, limits_.workers * 4);
-        const double dcfg_cost =
-            static_cast<double>(prof.sizeInBytes()) *
-            cost_.wpaSecPerProfileByte;
+        // The modelled profile-conversion cost, split across the ingest
+        // stages so the stage sum matches the phase3.wpa report's
+        // formula.
+        const uint64_t opts_fp =
+            core::layoutOptionsFingerprint(defaultLayoutOptions());
+        core::WpaPipeline::StagePlan plan;
+        plan.profileCostSec = static_cast<double>(prof.sizeInBytes()) *
+                            cost_.wpaSecPerProfileByte;
+        plan.hotFunctionCostSec = cost_.wpaSecPerHotFunction;
+        plan.resolveShards = std::max<size_t>(1, limits_.workers * 4);
 
-        sched::TaskId prepareTask = graph.add(
-            [&] { pipe->prepare(); },
-            {"dcfg.prepare", "phase3.wpa", 0.0});
-
-        std::vector<sched::TaskId> aggTask(agg_shards);
-        for (size_t s = 0; s < agg_shards; ++s) {
-            aggTask[s] = graph.add(
-                [&, s] { pipe->aggregateShard(s); },
-                {"agg#" + std::to_string(s), "phase3.wpa",
-                 dcfg_cost * 0.002 / static_cast<double>(agg_shards)});
-            graph.addEdge(prepareTask, aggTask[s]);
-        }
-
-        sched::TaskId aggMergeTask = graph.add(
-            [&] { pipe->mergeAggregation(); },
-            {"agg.merge", "phase3.wpa", 0.0});
-        for (size_t s = 0; s < agg_shards; ++s)
-            graph.addEdge(aggTask[s], aggMergeTask);
-
-        sched::TaskId indexTask = graph.add(
-            [&] { pipe->buildIndex(); },
-            {"addrmap.index", "phase3.wpa", dcfg_cost * 0.010});
-        graph.addEdge(prepareTask, indexTask);
-
-        sched::TaskId mapSetupTask = graph.add(
-            [&] { pipe->beginMapping(); },
-            {"map.setup", "phase3.wpa", 0.0});
-        graph.addEdge(aggMergeTask, mapSetupTask);
-        graph.addEdge(indexTask, mapSetupTask);
-
-        std::vector<sched::TaskId> resolveTask(resolve_shards);
-        for (size_t k = 0; k < resolve_shards; ++k) {
-            resolveTask[k] = graph.add(
-                [&, k, resolve_shards] {
-                    pipe->resolveShard(k, resolve_shards);
-                },
-                {"resolve#" + std::to_string(k), "phase3.wpa",
-                 dcfg_cost * 0.983 /
-                     static_cast<double>(resolve_shards)});
-            graph.addEdge(mapSetupTask, resolveTask[k]);
-        }
-
-        orderTask = graph.add(
-            [&] {
-                graph.setCost(
-                    orderTask,
-                    cost_.wpaSecPerHotFunction *
-                        static_cast<double>(pipe->functionCount()) *
-                        0.1);
-                order = pipe->globalOrder();
-            },
-            {"order", "phase3.wpa", 0.0});
-
-        mergeTask = graph.add(
-            [&] { wpa_ = pipe->finish(std::move(slots),
-                                      std::move(order)); },
-            {"wpa.merge", "phase3.wpa", 0.0});
-        graph.addEdge(orderTask, mergeTask);
-
-        applyTask = graph.add(
-            [&] {
-                pipe->applyDcfg();
-                const size_t nfn = pipe->functionCount();
-                slots.resize(nfn);
-                specs.resize(nfn);
-                layoutTask.resize(nfn);
-
-                uint64_t total_nodes = 0;
-                for (size_t f = 0; f < nfn; ++f) {
-                    const core::FunctionDcfg &fn =
-                        pipe->dcfg().functions[f];
-                    dcfgIndex.emplace(fn.function, f);
-                    total_nodes += fn.nodes.size();
+        // The memo key: the function's CFG hash + profile counts
+        // (layoutFingerprint) and the layout options.  A warm hit
+        // decodes the cached layout — byte-identical to recomputing it —
+        // and re-costs the task as a cache fetch; a decode failure
+        // evicts and recomputes.
+        plan.layout = [&, opts_fp](size_t f, sched::TaskId task) {
+            const uint64_t key =
+                hashCombine(pipe->layoutFingerprint(f), opts_fp);
+            const uint64_t digest =
+                hashCombine(pipe->layoutInputDigest(f), opts_fp);
+            core::FunctionLayout fl;
+            auto serve = [&](const std::vector<uint8_t> &bytes) {
+                core::FunctionLayout cached;
+                if (!core::decodeFunctionLayout(bytes, cached))
+                    return false;
+                graph.setCost(task, static_cast<double>(bytes.size()) *
+                                        cost_.fetchCachedSecPerByte);
+                fl = std::move(cached);
+                return true;
+            };
+            bool hit = false;
+            if (const std::vector<uint8_t> *bytes =
+                    cache_.lookupLayout(key)) {
+                hit = serve(*bytes);
+                if (!hit)
+                    cache_.evictCorruptLayout(key);
+            }
+            // Primed fallback: the exact memo key changed (code drift),
+            // but the stale matcher vouched for this function and an
+            // entry with identical *layout inputs* exists — reuse it and
+            // re-home it under the new key so the next run hits primary.
+            if (!hit &&
+                primeFns_.count(pipe->dcfg().functions[f].function) != 0) {
+                const std::vector<uint8_t> *bytes =
+                    cache_.lookupLayoutPrimed(digest);
+                hit = bytes != nullptr && serve(*bytes);
+                if (hit) {
+                    std::vector<uint8_t> copy = *bytes;
+                    cache_.putLayout(key, std::move(copy), digest);
                 }
+            }
+            if (!hit) {
+                fl = pipe->layoutFunction(f);
+                cache_.putLayout(key, core::encodeFunctionLayout(fl),
+                                 digest);
+            }
+            // Codegen tasks read the spec while the merge task consumes
+            // the slot, so the spec gets stable storage of its own
+            // before either successor is released.
+            specs[f] = fl.spec;
+            return fl;
+        };
 
-                for (size_t f = 0; f < nfn; ++f) {
-                    const core::FunctionDcfg &fn =
-                        pipe->dcfg().functions[f];
-                    double share =
-                        total_nodes == 0
-                            ? 0.0
-                            : static_cast<double>(fn.nodes.size()) /
-                                  static_cast<double>(total_nodes);
-                    // The memo key: the function's CFG hash + profile
-                    // counts (layoutFingerprint) and the layout
-                    // options.  A warm hit decodes the cached layout —
-                    // byte-identical to recomputing it — and re-costs
-                    // the task as a cache fetch; a decode failure
-                    // evicts and recomputes.
-                    layoutTask[f] = graph.add(
-                        [&, f] {
-                            const uint64_t key = hashCombine(
-                                pipe->layoutFingerprint(f), opts_fp);
-                            const uint64_t digest = hashCombine(
-                                pipe->layoutInputDigest(f), opts_fp);
-                            bool hit = false;
-                            if (const std::vector<uint8_t> *bytes =
-                                    cache_.lookupLayout(key)) {
-                                core::FunctionLayout fl;
-                                if (core::decodeFunctionLayout(*bytes,
-                                                               fl)) {
-                                    graph.setCost(
-                                        layoutTask[f],
-                                        static_cast<double>(
-                                            bytes->size()) *
-                                            cost_
-                                                .fetchCachedSecPerByte);
-                                    // Codegen tasks read the spec while
-                                    // the merge task consumes the slot,
-                                    // so the spec gets stable storage of
-                                    // its own before either successor is
-                                    // released.
-                                    specs[f] = fl.spec;
-                                    slots[f] = std::move(fl);
-                                    hit = true;
-                                } else {
-                                    cache_.evictCorruptLayout(key);
-                                }
-                            }
-                            // Primed fallback: the exact memo key
-                            // changed (code drift), but the stale
-                            // matcher vouched for this function and an
-                            // entry with identical *layout inputs*
-                            // exists — reuse it and re-home it under
-                            // the new key so the next run hits
-                            // primary.
-                            if (!hit &&
-                                primeFns_.count(pipe->dcfg()
-                                                    .functions[f]
-                                                    .function) != 0) {
-                                const std::vector<uint8_t> *bytes =
-                                    cache_.lookupLayoutPrimed(digest);
-                                core::FunctionLayout fl;
-                                if (bytes != nullptr &&
-                                    core::decodeFunctionLayout(*bytes,
-                                                               fl)) {
-                                    graph.setCost(
-                                        layoutTask[f],
-                                        static_cast<double>(
-                                            bytes->size()) *
-                                            cost_
-                                                .fetchCachedSecPerByte);
-                                    std::vector<uint8_t> copy = *bytes;
-                                    cache_.putLayout(key,
-                                                     std::move(copy),
-                                                     digest);
-                                    specs[f] = fl.spec;
-                                    slots[f] = std::move(fl);
-                                    hit = true;
-                                }
-                            }
-                            if (!hit) {
-                                core::FunctionLayout fl =
-                                    pipe->layoutFunction(f);
-                                cache_.putLayout(
-                                    key,
-                                    core::encodeFunctionLayout(fl),
-                                    digest);
-                                specs[f] = fl.spec;
-                                slots[f] = std::move(fl);
-                            }
-                        },
-                        {"layout:" + fn.function, "phase3.wpa",
-                         cost_.wpaSecPerHotFunction *
-                             static_cast<double>(nfn) * share},
-                        {applyTask});
-                    graph.addEdge(layoutTask[f], mergeTask);
+        // The fine-grained release edges: a module's backend re-runs the
+        // moment its last sampled function's layout lands.  Wired while every
+        // codegen task is still held by its static edge from dcfg.apply.
+        plan.onLayoutTasks = [&](const std::vector<sched::TaskId> &layout) {
+            specs.resize(layout.size());
+            for (size_t f = 0; f < layout.size(); ++f)
+                dcfgIndex.emplace(pipe->dcfg().functions[f].function, f);
+            for (size_t i = 0; i < cg.tasks.size(); ++i) {
+                for (const auto &fn : prog.modules[i]->functions) {
+                    auto it = dcfgIndex.find(fn->name);
+                    if (it != dcfgIndex.end())
+                        graph.addEdge(layout[it->second], cg.tasks[i]);
                 }
-
-                // The tentpole edges: a module's backend re-runs the
-                // moment its last sampled function's layout lands.
-                // Wired here — the tasks exist only now — while every
-                // codegen task is still held by its static edge from
-                // this task.
-                for (size_t i = 0; i < cg.tasks.size(); ++i) {
-                    for (const auto &fn : prog.modules[i]->functions) {
-                        auto it = dcfgIndex.find(fn->name);
-                        if (it != dcfgIndex.end())
-                            graph.addEdge(layoutTask[it->second],
-                                          cg.tasks[i]);
-                    }
-                }
-            },
-            {"dcfg.apply", "phase3.wpa", dcfg_cost * 0.005});
-        for (size_t k = 0; k < resolve_shards; ++k)
-            graph.addEdge(resolveTask[k], applyTask);
-        graph.addEdge(applyTask, orderTask);
+            }
+        };
+        wpaTasks = pipe->addStages(graph, std::move(plan), wpa_);
     }
 
     // ---- Phase 4: per-module codegen + per-object link assembly ---------
@@ -1006,7 +866,7 @@ Workflow::runRelinkGraph(RelinkStage target)
         // layouts.
         if (need_wpa)
             for (sched::TaskId task : cg.tasks)
-                graph.addEdge(applyTask, task);
+                graph.addEdge(wpaTasks.apply, task);
 
         for (size_t i = 0; i < nmod; ++i) {
             assembleTask[i] = graph.add(
@@ -1046,8 +906,8 @@ Workflow::runRelinkGraph(RelinkStage target)
             {"link:po", "phase4.link", cost_.actionOverheadSec});
         for (size_t i = 0; i < nmod; ++i)
             graph.addEdge(assembleTask[i], poLink);
-        if (mergeTask != sched::kInvalidTask)
-            graph.addEdge(mergeTask, poLink);
+        if (need_wpa)
+            graph.addEdge(wpaTasks.merge, poLink);
     }
 
     // ---- Phase 5: per-range verification --------------------------------
@@ -1055,8 +915,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     std::optional<analysis::VerifyOptions> vopts;
     std::unique_ptr<analysis::ExecutableVerifier> verifier;
     std::optional<analysis::VerifyReport> vrep;
-    std::optional<core::AddrMapIndex> flowIndex;
-    std::optional<core::WholeProgramDcfg> flowDcfg;
+    analysis::VerifyReport flowRep;
     const size_t chunks = std::max<size_t>(1, limits_.workers * 2);
     std::vector<sched::TaskId> decodeTask;
     std::vector<sched::TaskId> checkTask;
@@ -1078,8 +937,8 @@ Workflow::runRelinkGraph(RelinkStage target)
         if (need_link) {
             for (size_t i = 0; i < nmod; ++i)
                 graph.addEdge(assembleTask[i], twinTask);
-            if (mergeTask != sched::kInvalidTask)
-                graph.addEdge(mergeTask, twinTask);
+            if (need_wpa)
+                graph.addEdge(wpaTasks.merge, twinTask);
         }
 
         sched::TaskId setupTask = graph.add(
@@ -1170,20 +1029,22 @@ Workflow::runRelinkGraph(RelinkStage target)
         if (need_link)
             graph.addEdge(poLink, finishTask);
 
-        // The profile-flow lint rebuilds its own DCFG; that build has no
-        // dependencies and overlaps the whole graph.  The lint itself
-        // runs in the coordinator finalize (it reads the verify options
-        // the finish task mutates).
-        graph.add(
+        // PV016 lints the DCFG the WPA applied: this graph's, right after
+        // dcfg.apply, or the one a staged wpa() kept.  An injected DCFG
+        // is not linted: the fleet pairs it with an identity-stamp
+        // profile, whose own DCFG is empty, and linting the injected one
+        // would reject fleet relinks (measured in test_analysis.cc,
+        // InjectedDcfgIsNotLinted).
+        sched::TaskId lintTask = graph.add(
             [&] {
-                profile::AggregationOptions agg_opts;
-                agg_opts.threads = config_.jobs;
-                profile::AggregatedProfile agg =
-                    profile::aggregate(prof, agg_opts);
-                flowIndex.emplace(pm);
-                flowDcfg = core::buildDcfg(agg, *flowIndex);
+                if (lint_flow)
+                    flowRep = analysis::lintProfileFlow(
+                        need_wpa ? pipe->dcfg() : *flowDcfg_,
+                        analysis::VerifyOptions());
             },
-            {"lint.flow.dcfg", "phase5.verify", 0.0});
+            {"lint.flow", "phase5.verify", 0.0});
+        if (need_wpa)
+            graph.addEdge(wpaTasks.apply, lintTask);
     }
 
     // ---- Execute --------------------------------------------------------
@@ -1203,8 +1064,12 @@ Workflow::runRelinkGraph(RelinkStage target)
         reports_["relink.graph"] = std::move(report);
     }
 
-    if (need_wpa)
+    if (need_wpa) {
         recordWpaReport();
+        // A staged wpa() keeps its DCFG for the verify graph's lint.
+        if (!need_verify && lint_flow)
+            flowDcfg_ = pipe->releaseDcfg();
+    }
 
     if (need_link) {
         CompileBatch batch = finishCodegenStage(cg);
@@ -1222,7 +1087,8 @@ Workflow::runRelinkGraph(RelinkStage target)
         analysis::VerifyReport rep = std::move(*vrep);
         rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
                                            pm, *vopts));
-        rep.merge(analysis::lintProfileFlow(*flowDcfg, *vopts));
+        rep.merge(flowRep);
+        flowDcfg_.reset();
         recordVerifyReport("phase5.verify", rep);
         verify_ = std::move(rep);
         verifyTwin_ = std::move(twin);

@@ -512,8 +512,7 @@ class Workflow
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;
     linker::Options linkOptions();
-    /** Fill moduleHashes_ once, in parallel; not thread-safe itself. */
-    void hashModules() const;
+    /** The module's content hash; memoized in its own slot. */
     uint64_t moduleHash(size_t module_index) const;
 
     workload::WorkloadConfig config_;
@@ -524,7 +523,7 @@ class Workflow
     std::map<std::string, PhaseReport> reports_;
 
     std::optional<ir::Program> program_;
-    mutable std::vector<uint64_t> moduleHashes_;
+    mutable std::vector<std::optional<uint64_t>> moduleHashes_;
     std::optional<std::vector<elf::ObjectFile>> phase2Objects_;
     std::optional<linker::Executable> baseline_;
     std::optional<linker::Executable> metadataBinary_;
@@ -539,6 +538,8 @@ class Workflow
     std::vector<std::string> coldObjects_;
     std::optional<sched::ScheduleReport> schedule_;
     std::optional<core::WholeProgramDcfg> dcfgOverride_;
+    /** The applied DCFG of a staged wpa(), kept for the flow lint. */
+    std::optional<core::WholeProgramDcfg> flowDcfg_;
     std::set<std::string> primeFns_;
 };
 

@@ -144,10 +144,9 @@ bool decodeFunctionLayout(const std::vector<uint8_t> &bytes,
 
 /**
  * Decomposed intra-procedural layout: each function's Ext-TSP problem is
- * independent, so callers (the task-graph relink engine, the
- * runWholeProgramAnalysis parallelFor loop) can run `layoutFunction` per
- * function on any thread
- * and in any order, then `merge` the slots in function order.  The
+ * independent, so callers (the WPA stage graph's layout tasks) can run
+ * `layoutFunction` per function on any thread and in any order, then
+ * `merge` the slots in function order.  The
  * merged result is byte-identical to a serial run by construction.
  *
  * Only valid for the intra-procedural strategy; the inter-procedural

@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "support/thread_pool.h"
+#include "sched/sched.h"
 
 namespace propeller::core {
 
@@ -375,17 +375,19 @@ buildDcfg(const profile::AggregatedProfile &agg, const AddrMapIndex &index,
           MapperStats *stats_out, unsigned threads)
 {
     // The mapper splits each record kind into a read-only resolution
-    // phase (address lookups, range walks) that fans out over the thread
-    // pool into per-record slots, and a serial application phase that
-    // feeds the mutable builder in the aggregation maps' iteration order
-    // — the same order the fully serial mapper used, so the DCFG (whose
-    // node numbering is first-touch order) is identical at any thread
-    // count.
+    // phase (address lookups, range walks) that fans out with
+    // sched::parallelFor into per-record slots, and a serial application
+    // phase that feeds the mutable builder in the aggregation maps'
+    // iteration order — the same order the fully serial mapper used, so
+    // the DCFG (whose node numbering is first-touch order) is identical
+    // at any thread count.
     DcfgMapper mapper(agg, index);
-    parallelFor(threads, mapper.branchCount(),
-                [&](size_t i) { mapper.resolveBranches(i, i + 1); });
-    parallelFor(threads, mapper.rangeCount(),
-                [&](size_t i) { mapper.resolveRanges(i, i + 1); });
+    sched::parallelFor(threads, mapper.branchCount(), [&](size_t i) {
+        mapper.resolveBranches(i, i + 1);
+    });
+    sched::parallelFor(threads, mapper.rangeCount(), [&](size_t i) {
+        mapper.resolveRanges(i, i + 1);
+    });
     return mapper.apply(stats_out);
 }
 

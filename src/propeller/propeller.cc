@@ -1,19 +1,20 @@
 #include "propeller/propeller.h"
 
+#include <algorithm>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "propeller/addr_map_index.h"
 #include "support/hash.h"
-#include "support/thread_pool.h"
 
 namespace propeller::core {
 
 /**
- * Stage state shared by build/layout/finish.  The memory-meter charge
- * sequence below is the same one the original monolithic function
- * performed, in the same order, so peakMemory stays bit-identical no
- * matter how the middle stages are scheduled.
+ * Stage state shared by the graph's tasks.  The memory-meter charge
+ * sequence below is the same one a serial run performs, in the same
+ * order, so peakMemory stays bit-identical no matter how the middle
+ * stages are scheduled.
  */
 struct WpaPipeline::Impl
 {
@@ -29,7 +30,7 @@ struct WpaPipeline::Impl
     std::optional<LayoutContext> layout;
     uint64_t hotNodes = 0;
 
-    // Staged-ingestion state (alive between prepare() and applyDcfg()).
+    // Ingest state (alive between prepare() and applyDcfg()).
     profile::AggregationOptions aggOpts;
     std::vector<profile::AggregatedProfile> aggSlots;
     std::optional<profile::AggregatedProfile> agg;
@@ -40,13 +41,23 @@ struct WpaPipeline::Impl
     // place of the mapper's output.
     std::optional<WholeProgramDcfg> pendingDcfg;
 
+    // Graph state: the stage plan, the apply task (the layout tasks it
+    // adds depend on it) and the layout slots (alive between dcfg.apply
+    // and wpa.merge).
+    StagePlan stages;
+    sched::TaskId applyTask = sched::kInvalidTask;
+    std::vector<sched::TaskId> layoutTasks;
+    std::vector<FunctionLayout> slots;
+    LdProfile order;
+
     Impl(const linker::Executable &e, const profile::Profile &p,
          const LayoutOptions &o, unsigned j)
         : exe(e), prof(p), opts(o), jobs(j)
     {
+        aggOpts.threads = jobs;
     }
 
-    WpaPipeline::IngestPlan
+    void
     prepare()
     {
         // Identity check: a profile collected on a different build must
@@ -59,20 +70,7 @@ struct WpaPipeline::Impl
         // lower this, as the paper notes in section 5.1).
         result.stats.profileBytes = prof.sizeInBytes();
         local.charge(result.stats.profileBytes * 2);
-
-        aggOpts.threads = jobs;
-        WpaPipeline::IngestPlan plan;
-        plan.aggregationShards =
-            profile::aggregationShardCount(prof, aggOpts);
-        aggSlots.resize(plan.aggregationShards);
-        return plan;
-    }
-
-    void
-    aggregateShard(size_t shard)
-    {
-        profile::aggregateShardInto(prof, aggOpts, shard,
-                                    aggSlots[shard]);
+        aggSlots.resize(profile::aggregationShardCount(prof, aggOpts));
     }
 
     void
@@ -107,12 +105,6 @@ struct WpaPipeline::Impl
     }
 
     void
-    beginMapping()
-    {
-        mapper.emplace(*agg, *index);
-    }
-
-    void
     applyDcfg()
     {
         // The whole-program DCFG: proportional to *sampled* code only —
@@ -133,24 +125,6 @@ struct WpaPipeline::Impl
             hotNodes += fn.nodes.size();
         if (!opts.interProcedural)
             layout.emplace(*dcfg, *index, opts);
-    }
-
-    void
-    build()
-    {
-        WpaPipeline::IngestPlan plan = prepare();
-        parallelFor(jobs, plan.aggregationShards,
-                    [&](size_t s) { aggregateShard(s); });
-        mergeAggregation();
-        buildIndex();
-        beginMapping();
-        parallelFor(jobs, mapper->branchCount(), [&](size_t i) {
-            mapper->resolveBranches(i, i + 1);
-        });
-        parallelFor(jobs, mapper->rangeCount(), [&](size_t i) {
-            mapper->resolveRanges(i, i + 1);
-        });
-        applyDcfg();
     }
 
     /** The function's index in the address map, or -1 if absent. */
@@ -176,13 +150,26 @@ struct WpaPipeline::Impl
         return core::layoutInputDigest(fn, *index, addrMapIndexOf(fn));
     }
 
+    /** wpa.merge: the per-function slots and the global order, merged
+     *  in function order (or the monolithic inter-procedural layout). */
     WpaResult
-    assemble(LayoutResult layoutResult, MemoryMeter *meter)
+    merge(MemoryMeter *meter)
     {
-        result.ccProf = std::move(layoutResult.ccProf);
-        result.ldProf = std::move(layoutResult.ldProf);
-        result.hotFunctions = std::move(layoutResult.hotFunctions);
-        result.stats.extTsp = layoutResult.extTspStats;
+        // Layout computation working set (chains, pairs, heap).  The
+        // charge brackets the merge as it brackets a whole computeLayout
+        // call; nothing is released between ingest and here.
+        LayoutResult merged;
+        {
+            ScopedCharge working(local, hotNodes * 160);
+            merged = opts.interProcedural
+                         ? computeLayout(*dcfg, *index, opts, jobs)
+                         : layout->merge(std::move(slots),
+                                         std::move(order));
+        }
+        result.ccProf = std::move(merged.ccProf);
+        result.ldProf = std::move(merged.ldProf);
+        result.hotFunctions = std::move(merged.hotFunctions);
+        result.stats.extTsp = merged.extTspStats;
         result.stats.hotFunctions =
             static_cast<uint32_t>(result.hotFunctions.size());
         result.stats.peakMemory = local.peak();
@@ -203,52 +190,107 @@ WpaPipeline::WpaPipeline(const linker::Executable &metadata_exe,
 
 WpaPipeline::~WpaPipeline() = default;
 
-void
-WpaPipeline::build()
+WpaPipeline::StageTasks
+WpaPipeline::addStages(sched::TaskGraph &graph, StagePlan plan,
+                       std::optional<WpaResult> &out, MemoryMeter *meter)
 {
-    impl_->build();
+    Impl &im = *impl_;
+    im.stages = std::move(plan);
+    // Shard counts are pure functions of the profile and the options,
+    // never of the schedule, and so is every modelled cost below.
+    const size_t aggShards =
+        profile::aggregationShardCount(im.prof, im.aggOpts);
+    const size_t resolveShards =
+        std::max<size_t>(im.stages.resolveShards, 1);
+    const double dcfgCost = im.stages.profileCostSec;
+
+    sched::TaskId prepare = graph.add([&im] { im.prepare(); },
+                                      {"dcfg.prepare", "phase3.wpa", 0.0});
+    std::vector<sched::TaskId> aggTask(aggShards);
+    for (size_t s = 0; s < aggShards; ++s) {
+        aggTask[s] = graph.add(
+            [&im, s] {
+                profile::aggregateShardInto(im.prof, im.aggOpts, s,
+                                            im.aggSlots[s]);
+            },
+            {"agg#" + std::to_string(s), "phase3.wpa",
+             dcfgCost * 0.002 / static_cast<double>(aggShards)},
+            {prepare});
+    }
+    sched::TaskId aggMerge =
+        graph.add([&im] { im.mergeAggregation(); },
+                  {"agg.merge", "phase3.wpa", 0.0}, aggTask);
+    sched::TaskId index =
+        graph.add([&im] { im.buildIndex(); },
+                  {"addrmap.index", "phase3.wpa", dcfgCost * 0.010},
+                  {prepare});
+    sched::TaskId mapSetup =
+        graph.add([&im] { im.mapper.emplace(*im.agg, *im.index); },
+                  {"map.setup", "phase3.wpa", 0.0}, {aggMerge, index});
+    std::vector<sched::TaskId> resolveTask(resolveShards);
+    for (size_t k = 0; k < resolveShards; ++k) {
+        resolveTask[k] = graph.add(
+            [&im, k, resolveShards] {
+                im.mapper->resolveShard(k, resolveShards);
+            },
+            {"resolve#" + std::to_string(k), "phase3.wpa",
+             dcfgCost * 0.983 / static_cast<double>(resolveShards)},
+            {mapSetup});
+    }
+
+    StageTasks ids;
+    sched::TaskId order = graph.add(
+        [&im] {
+            if (im.layout)
+                im.order = im.layout->globalOrder();
+        },
+        {"order", "phase3.wpa", 0.0});
+    ids.merge = graph.add([&im, &out, meter] { out = im.merge(meter); },
+                          {"wpa.merge", "phase3.wpa", 0.0}, {order});
+    ids.apply = graph.add(
+        [&im, &graph, order, merge = ids.merge] {
+            im.applyDcfg();
+            const auto &fns = im.dcfg->functions;
+            // hfsort's cost scales with the hot functions known only now.
+            graph.setCost(order, im.stages.hotFunctionCostSec *
+                                     static_cast<double>(fns.size()) *
+                                     0.1);
+            if (!im.layout)
+                return;
+            im.slots.resize(fns.size());
+            im.layoutTasks.resize(fns.size());
+            for (size_t f = 0; f < fns.size(); ++f) {
+                double share =
+                    im.hotNodes == 0
+                        ? 0.0
+                        : static_cast<double>(fns[f].nodes.size()) /
+                              static_cast<double>(im.hotNodes);
+                im.layoutTasks[f] = graph.add(
+                    [&im, f] {
+                        im.slots[f] =
+                            im.stages.layout
+                                ? im.stages.layout(f, im.layoutTasks[f])
+                                : im.layout->layoutFunction(f);
+                    },
+                    {"layout:" + fns[f].function, "phase3.wpa",
+                     im.stages.hotFunctionCostSec *
+                         static_cast<double>(fns.size()) * share},
+                    {im.applyTask});
+                graph.addEdge(im.layoutTasks[f], merge);
+            }
+            if (im.stages.onLayoutTasks)
+                im.stages.onLayoutTasks(im.layoutTasks);
+        },
+        {"dcfg.apply", "phase3.wpa", dcfgCost * 0.005}, resolveTask);
+    im.applyTask = ids.apply;
+    graph.addEdge(ids.apply, order);
+    return ids;
 }
 
-WpaPipeline::IngestPlan
-WpaPipeline::prepare()
-{
-    return impl_->prepare();
-}
-
 void
-WpaPipeline::aggregateShard(size_t shard)
+WpaPipeline::overrideDcfg(WholeProgramDcfg dcfg)
 {
-    impl_->aggregateShard(shard);
-}
-
-void
-WpaPipeline::mergeAggregation()
-{
-    impl_->mergeAggregation();
-}
-
-void
-WpaPipeline::buildIndex()
-{
-    impl_->buildIndex();
-}
-
-void
-WpaPipeline::beginMapping()
-{
-    impl_->beginMapping();
-}
-
-void
-WpaPipeline::resolveShard(size_t shard, size_t shardCount)
-{
-    impl_->mapper->resolveShard(shard, shardCount);
-}
-
-void
-WpaPipeline::applyDcfg()
-{
-    impl_->applyDcfg();
+    impl_->pendingDcfg.emplace(std::move(dcfg));
 }
 
 uint64_t
@@ -263,22 +305,20 @@ WpaPipeline::layoutInputDigest(size_t f) const
     return impl_->layoutInputDigest(f);
 }
 
-void
-WpaPipeline::overrideDcfg(WholeProgramDcfg dcfg)
-{
-    impl_->pendingDcfg.emplace(std::move(dcfg));
-}
-
 const WholeProgramDcfg &
 WpaPipeline::dcfg() const
 {
     return *impl_->dcfg;
 }
 
-size_t
-WpaPipeline::functionCount() const
+WholeProgramDcfg
+WpaPipeline::releaseDcfg()
 {
-    return impl_->dcfg->functions.size();
+    // The layout context reads the DCFG; it goes first.
+    impl_->layout.reset();
+    WholeProgramDcfg out = std::move(*impl_->dcfg);
+    impl_->dcfg.reset();
+    return out;
 }
 
 FunctionLayout
@@ -287,60 +327,22 @@ WpaPipeline::layoutFunction(size_t f) const
     return impl_->layout->layoutFunction(f);
 }
 
-LdProfile
-WpaPipeline::globalOrder() const
-{
-    return impl_->layout->globalOrder();
-}
-
-WpaResult
-WpaPipeline::finish(std::vector<FunctionLayout> slots, LdProfile order,
-                    MemoryMeter *meter)
-{
-    // Layout computation working set (chains, pairs, heap).  The charge
-    // brackets the merge just as the monolithic path bracketed the full
-    // computeLayout call; peak accounting is identical because nothing
-    // is released between build() and here.
-    LayoutResult merged;
-    {
-        ScopedCharge working(impl_->local, impl_->hotNodes * 160);
-        merged =
-            impl_->layout->merge(std::move(slots), std::move(order));
-    }
-    return impl_->assemble(std::move(merged), meter);
-}
-
-WpaResult
-WpaPipeline::finishMonolithic(MemoryMeter *meter)
-{
-    LayoutResult merged;
-    {
-        ScopedCharge working(impl_->local, impl_->hotNodes * 160);
-        merged = computeLayout(*impl_->dcfg, *impl_->index, impl_->opts,
-                               impl_->jobs);
-    }
-    return impl_->assemble(std::move(merged), meter);
-}
-
 WpaResult
 runWholeProgramAnalysis(const linker::Executable &metadata_exe,
                         const profile::Profile &prof,
                         const LayoutOptions &opts, unsigned jobs,
                         MemoryMeter *meter)
 {
+    // Ingest and the per-function layouts on one small graph — the same
+    // stages the relink graph runs, so the result is byte-identical.
     WpaPipeline pipeline(metadata_exe, prof, opts, jobs);
-    pipeline.build();
-    if (opts.interProcedural)
-        return pipeline.finishMonolithic(meter);
-
-    // The standalone path: fan the per-function loop over the thread
-    // pool, merge in function order.  Byte-identical to the relink
-    // graph, which runs the same stages as graph tasks.
-    std::vector<FunctionLayout> slots(pipeline.functionCount());
-    parallelFor(jobs, slots.size(),
-                [&](size_t f) { slots[f] = pipeline.layoutFunction(f); });
-    return pipeline.finish(std::move(slots), pipeline.globalOrder(),
-                           meter);
+    sched::TaskGraph graph;
+    std::optional<WpaResult> result;
+    WpaPipeline::StagePlan plan;
+    plan.resolveShards = sched::resolveThreadCount(jobs) * 4;
+    pipeline.addStages(graph, std::move(plan), result, meter);
+    sched::Scheduler({jobs, 1}).run(graph);
+    return std::move(*result);
 }
 
 } // namespace propeller::core

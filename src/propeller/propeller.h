@@ -13,10 +13,15 @@
  * against BOLT's perf2bolt.
  */
 
+#include <functional>
+#include <optional>
+#include <vector>
+
 #include "linker/executable.h"
 #include "profile/profile.h"
 #include "propeller/layout.h"
 #include "propeller/profile_mapper.h"
+#include "sched/sched.h"
 #include "support/memory_meter.h"
 
 namespace propeller::core {
@@ -59,33 +64,28 @@ struct WpaResult
 };
 
 /**
- * Phase 3 decomposed into schedulable stages, shared by the standalone
- * entry point below (ablation rebuilds, the iterative round) and the
- * task-graph relink engine, so both produce byte-identical artifacts and
- * identical stats by construction:
+ * Phase 3 as schedulable stages on a sched::TaskGraph, shared by the
+ * standalone entry point below (ablation rebuilds, the iterative round)
+ * and the relink graph, so both produce byte-identical artifacts and
+ * identical stats by construction.  addStages() wires, in this task
+ * creation order:
  *
- *   build()                  — aggregate profile, index, DCFG (serial);
- *   layoutFunction(f)        — per-function Ext-TSP, any thread/order;
- *   globalOrder()            — hfsort, concurrent with the fan-out;
- *   finish(slots, order)     — ordered merge + memory accounting.
- *
- * build() itself decomposes further for the task graph — profile
- * ingestion as dependency-ordered stages instead of one serial prelude:
- *
- *   prepare()                — identity check, shard plan;
- *   aggregateShard(s)        — per-shard counters, any thread/order;
- *   mergeAggregation()       — serial shard-order fold;
- *   buildIndex()             — BB address map index (independent of the
+ *   dcfg.prepare             — identity check, shard slots;
+ *   agg#s                    — per-shard counters, any thread/order;
+ *   agg.merge                — serial shard-order fold;
+ *   addrmap.index            — BB address map index (independent of the
  *                              aggregation shards);
- *   beginMapping()           — snapshot records into mapper slots;
- *   resolveShard(k, n)       — read-only record resolution slices;
- *   applyDcfg()              — serial application, entry nodes, freqs.
+ *   map.setup                — snapshot records into mapper slots;
+ *   resolve#k                — read-only record resolution slices;
+ *   order                    — hfsort, concurrent with the layouts;
+ *   wpa.merge                — ordered merge + memory accounting;
+ *   dcfg.apply               — serial DCFG application, then one
+ *                              layout:<fn> task per DCFG function.
  *
- * The MemoryMeter charge sequence matches the monolithic path exactly
- * (charges are monotonic within a phase, so the peak is order
- * independent), and every parallel stage writes disjoint slots, so
- * peakMemory and the DCFG are identical however the stages are
- * scheduled.
+ * The MemoryMeter charge sequence matches a serial run exactly (charges
+ * are monotonic within the phase, so the peak is order independent),
+ * and every parallel stage writes disjoint slots, so peakMemory and the
+ * DCFG are identical however the stages are scheduled.
  */
 class WpaPipeline
 {
@@ -97,42 +97,57 @@ class WpaPipeline
     WpaPipeline(const WpaPipeline &) = delete;
     WpaPipeline &operator=(const WpaPipeline &) = delete;
 
-    /** Aggregate + index + DCFG. Must run before any other stage. */
-    void build();
-
-    /** Shard plan for the staged ingestion path. */
-    struct IngestPlan
+    /** Modelled costs and per-function hooks of addStages(). */
+    struct StagePlan
     {
-        /** Number of independent aggregation shard stages. */
-        size_t aggregationShards = 0;
+        /**
+         * Modelled profile-conversion cost, split across the ingest
+         * stages in proportion to their real work.
+         */
+        double profileCostSec = 0.0;
+        /** Modelled Ext-TSP cost per hot function. */
+        double hotFunctionCostSec = 0.0;
+        /** Record-resolution slices (one resolve#k task each). */
+        size_t resolveShards = 1;
+        /**
+         * Produces function f's layout inside task @p task (default:
+         * layoutFunction(f)); may refine the task's modelled cost.
+         */
+        std::function<FunctionLayout(size_t f, sched::TaskId task)> layout;
+        /**
+         * Runs inside dcfg.apply once the layout tasks exist (entry f
+         * lays out DCFG function f), while none has been released: the
+         * place to wire their edges to downstream consumers.
+         */
+        std::function<void(const std::vector<sched::TaskId> &)>
+            onLayoutTasks;
     };
 
-    /** Staged ingestion, stage 1: identity check + shard plan. */
-    IngestPlan prepare();
-    /** Aggregate one shard; thread-safe across distinct shards. */
-    void aggregateShard(size_t shard);
-    /** Serial shard-order fold of the aggregation slots. */
-    void mergeAggregation();
-    /** Build the BB address map index (independent of aggregation). */
-    void buildIndex();
-    /** Snapshot aggregated records into resolution slots; needs
-     *  mergeAggregation() and buildIndex(). */
-    void beginMapping();
-    /** Resolve record slice @p shard of @p shardCount; thread-safe
-     *  across distinct shards. */
-    void resolveShard(size_t shard, size_t shardCount);
-    /** Serial DCFG application; after this the pipeline is in the same
-     *  state build() leaves it. */
-    void applyDcfg();
+    /** The stages downstream tasks depend on. */
+    struct StageTasks
+    {
+        sched::TaskId apply = sched::kInvalidTask; ///< DCFG applied.
+        sched::TaskId merge = sched::kInvalidTask; ///< @p out written.
+    };
 
     /**
-     * Replace the mapper-built DCFG: the next applyDcfg() installs
-     * @p dcfg instead of resolving the profile's records (the fleet
-     * service's injection seam — its rolling multi-version aggregate is
-     * already a DCFG in the target's block-id space, so re-deriving it
-     * from synthetic samples would be lossy).  Ingestion still runs and
-     * the profile's identity is still checked; only the mapper's output
-     * is substituted.  Must be called before applyDcfg().
+     * Add every Phase 3 stage to @p graph; the wpa.merge task writes the
+     * result to @p out (and pulses @p meter with the peak).  The
+     * inter-procedural strategy adds no layout tasks: its global chain
+     * cannot be decomposed, so wpa.merge runs it monolithically.
+     */
+    StageTasks addStages(sched::TaskGraph &graph, StagePlan plan,
+                         std::optional<WpaResult> &out,
+                         MemoryMeter *meter = nullptr);
+
+    /**
+     * Replace the mapper-built DCFG: dcfg.apply installs @p dcfg instead
+     * of resolving the profile's records (the fleet service's injection
+     * seam — its rolling multi-version aggregate is already a DCFG in
+     * the target's block-id space, so re-deriving it from synthetic
+     * samples would be lossy).  Ingestion still runs and the profile's
+     * identity is still checked; only the mapper's output is
+     * substituted.  Must be called before the graph runs.
      */
     void overrideDcfg(WholeProgramDcfg dcfg);
 
@@ -153,24 +168,14 @@ class WpaPipeline
      */
     uint64_t layoutFingerprint(size_t f) const;
 
+    /** The applied DCFG; valid once dcfg.apply has run. */
     const WholeProgramDcfg &dcfg() const;
-    size_t functionCount() const;
+
+    /** Move the applied DCFG out, once the stages have all run. */
+    WholeProgramDcfg releaseDcfg();
 
     /** Lay out one function. Thread-safe across distinct @p f. */
     FunctionLayout layoutFunction(size_t f) const;
-
-    /** Global symbol order; independent of per-function layouts. */
-    LdProfile globalOrder() const;
-
-    /** Merge + stats; consumes the pipeline. */
-    WpaResult finish(std::vector<FunctionLayout> slots, LdProfile order,
-                     MemoryMeter *meter = nullptr);
-
-    /**
-     * Inter-procedural fallback: run the monolithic layout instead of
-     * the per-function stages (the global chain cannot be decomposed).
-     */
-    WpaResult finishMonolithic(MemoryMeter *meter = nullptr);
 
   private:
     struct Impl;
@@ -183,7 +188,7 @@ class WpaPipeline
  * @param metadata_exe the Phase 2 binary with BB address map metadata.
  * @param prof         LBR samples collected while running it.
  * @param opts         layout strategy.
- * @param jobs         worker threads for parallel stages (0 = hardware).
+ * @param jobs         worker threads for the stage graph (0 = hardware).
  * @param meter        optional external phase meter (pulsed with the peak).
  */
 WpaResult runWholeProgramAnalysis(const linker::Executable &metadata_exe,

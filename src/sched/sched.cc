@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "support/json.h"
-#include "support/thread_pool.h"
 
 namespace propeller::sched {
 
@@ -29,6 +28,9 @@ namespace {
 
 /** Worker index of the current thread while a run is active. */
 thread_local size_t tlWorker = 0;
+
+/** Set while the current thread is executing a run's worker loop. */
+thread_local bool tlInRun = false;
 
 } // namespace
 
@@ -486,7 +488,8 @@ Scheduler::run(TaskGraph &graph)
         tasks[id].rank = tasks[id].costSec + best;
     }
 
-    unsigned threads = resolveThreadCount(opts_.threads);
+    // Nested runs stay on the calling worker (see SchedulerOptions).
+    unsigned threads = tlInRun ? 1 : resolveThreadCount(opts_.threads);
     if (!tasks.empty())
         threads = std::min<unsigned>(
             threads, static_cast<unsigned>(tasks.size()));
@@ -516,8 +519,18 @@ Scheduler::run(TaskGraph &graph)
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (unsigned w = 1; w < threads; ++w)
-        pool.emplace_back([&state, w] { state.workerLoop(w); });
+        pool.emplace_back([&state, w] {
+            tlInRun = true;
+            state.workerLoop(w);
+        });
+    // The caller is worker 0; a nested run restores the outer run's
+    // worker identity when it returns.
+    const size_t outerWorker = tlWorker;
+    const bool outerInRun = tlInRun;
+    tlInRun = true;
     state.workerLoop(0);
+    tlWorker = outerWorker;
+    tlInRun = outerInRun;
     for (auto &t : pool)
         t.join();
     graph.exec_ = nullptr;
@@ -533,6 +546,48 @@ Scheduler::run(TaskGraph &graph)
     simulate(tasks, finalTopo, std::max(opts_.modelWorkers, 1u),
              report);
     return report;
+}
+
+unsigned
+resolveThreadCount(unsigned requested)
+{
+    if (requested != 0)
+        return requested;
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 ? hw : 1;
+}
+
+void
+parallelFor(unsigned threads, size_t n,
+            const std::function<void(size_t)> &fn)
+{
+    const size_t drains = std::min<size_t>(resolveThreadCount(threads), n);
+    if (drains <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<size_t> next{0};
+    std::mutex errorMu;
+    std::exception_ptr error;
+    TaskGraph graph;
+    for (size_t d = 0; d < drains; ++d) {
+        graph.add([&] {
+            for (size_t i; (i = next.fetch_add(
+                                1, std::memory_order_relaxed)) < n;) {
+                try {
+                    fn(i);
+                } catch (...) {
+                    std::lock_guard<std::mutex> lock(errorMu);
+                    if (!error)
+                        error = std::current_exception();
+                }
+            }
+        });
+    }
+    Scheduler({static_cast<unsigned>(drains), 1}).run(graph);
+    if (error)
+        std::rethrow_exception(error);
 }
 
 bool

@@ -41,6 +41,7 @@
  * order.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -231,9 +232,17 @@ class TaskGraph
     detail::ExecState *exec_ = nullptr;
 };
 
+/** Resolve a thread-count request: 0 means "all hardware threads". */
+unsigned resolveThreadCount(unsigned requested);
+
 struct SchedulerOptions
 {
-    /** Real execution threads; 0 = hardware concurrency, 1 = inline. */
+    /**
+     * Real execution threads; 0 = hardware concurrency, 1 = inline.
+     * A run started from inside a running task executes inline on that
+     * task's worker: the outer run already owns the thread budget, so
+     * nesting never adds threads.
+     */
     unsigned threads = 0;
     /** Virtual workers for the deterministic schedule model. */
     unsigned modelWorkers = 8;
@@ -256,6 +265,18 @@ class Scheduler
   private:
     SchedulerOptions opts_;
 };
+
+/**
+ * Run fn(i) once for every i in [0, n) on at most @p threads threads
+ * (0 = hardware concurrency): min(threads, n) drain tasks on one
+ * TaskGraph claim indices from a shared counter, the caller running one
+ * of them. Determinism is the caller's: write results to slot i and
+ * merge in index order. Every index runs even if some fn(i) throws; the
+ * first exception is rethrown once the loop has drained. With one
+ * thread (or n <= 1) the loop runs inline on the caller, in index order.
+ */
+void parallelFor(unsigned threads, size_t n,
+                 const std::function<void(size_t)> &fn);
 
 /**
  * Commits results in strict sequence order: `submit(seq, fn)` may be

@@ -278,6 +278,89 @@ TEST(LintProfileFlow, CleanDcfgThenInjectedAnomaly)
     EXPECT_GT(dirty.engine.warningCount(), 0u) << desc;
 }
 
+/** The verifier, directive lint and (optionally) flow lint, serially. */
+VerifyReport
+serialVerify(buildsys::Workflow &wf, const core::WholeProgramDcfg *flow)
+{
+    VerifyOptions opts;
+    opts.expectedOrder = &wf.wpa().ldProf;
+    VerifyReport rep = verifyExecutable(wf.verifiedBinary(), opts);
+    rep.merge(lintDirectives(wf.wpa().ccProf, wf.wpa().ldProf,
+                             wf.metadataBinary(), opts));
+    if (flow)
+        rep.merge(lintProfileFlow(*flow, opts));
+    return rep;
+}
+
+/**
+ * PV016 lints the DCFG the WPA applied.  One relink graph and a staged
+ * wpa() -> propellerBinary() -> verifyReport() sequence must merge the
+ * same findings — and both must equal linting a DCFG rebuilt from the
+ * profile, which is what the flow lint read before it reused WPA's.
+ */
+TEST(LintProfileFlow, StagedAndOneGraphLintTheAppliedDcfg)
+{
+    for (const char *name : {"clang", "bigtable"}) {
+        workload::WorkloadConfig cfg = workload::configByName(name);
+        cfg.jobs = 4;
+        buildsys::Workflow one(cfg);
+        const VerifyReport &whole = one.verifyReport();
+
+        buildsys::Workflow staged(cfg);
+        staged.wpa();
+        staged.propellerBinary();
+        const VerifyReport &parts = staged.verifyReport();
+        EXPECT_EQ(parts.engine.renderText(), whole.engine.renderText())
+            << name;
+        EXPECT_EQ(parts.functionsChecked, whole.functionsChecked) << name;
+
+        core::AddrMapIndex index(one.metadataBinary());
+        core::WholeProgramDcfg rebuilt =
+            core::buildDcfg(profile::aggregate(one.profile()), index);
+        ASSERT_FALSE(rebuilt.functions.empty()) << name;
+        VerifyReport want = serialVerify(one, &rebuilt);
+        EXPECT_EQ(whole.engine.renderText(), want.engine.renderText())
+            << name;
+        EXPECT_EQ(whole.functionsChecked, want.functionsChecked) << name;
+    }
+}
+
+/**
+ * An injected DCFG (the fleet service's seam) is not flow-linted.  The
+ * relink pairs it with an identity-stamp profile, which maps to an empty
+ * DCFG: before the lint reused WPA's DCFG it rebuilt one from that
+ * profile and checked zero functions.  Linting the injected DCFG instead
+ * is a separate correctness decision: measured on bench_fleet, it adds
+ * PV016 warnings (5 and 1) to 2 of the 5 injected-DCFG relinks the bench
+ * verifies, and rejecting those fails its relinks-equal-crossings gate.
+ */
+TEST(LintProfileFlow, InjectedDcfgIsNotLinted)
+{
+    workload::WorkloadConfig cfg = verifyConfig(2);
+    buildsys::Workflow fresh(cfg);
+    core::AddrMapIndex index(fresh.metadataBinary());
+    const core::WholeProgramDcfg dcfg =
+        core::buildDcfg(profile::aggregate(fresh.profile()), index);
+    ASSERT_GT(lintProfileFlow(dcfg, {}).functionsChecked, 0u);
+
+    for (bool staged : {false, true}) {
+        buildsys::Workflow wf(cfg);
+        profile::Profile stamp;
+        stamp.binaryHash = wf.metadataBinary().identityHash;
+        stamp.totalRetired = 1;
+        wf.overrideProfile(std::move(stamp));
+        wf.overrideDcfg(core::WholeProgramDcfg(dcfg));
+        if (staged)
+            wf.propellerBinary();
+        const VerifyReport &rep = wf.verifyReport();
+        VerifyReport want = serialVerify(wf, nullptr);
+        EXPECT_EQ(rep.functionsChecked, want.functionsChecked)
+            << "staged=" << staged;
+        EXPECT_EQ(rep.engine.renderText(), want.engine.renderText())
+            << "staged=" << staged;
+    }
+}
+
 /** Reports merge additively — counters and diagnostics both. */
 TEST(VerifyReport, MergeAccumulates)
 {

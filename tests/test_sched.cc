@@ -2,9 +2,10 @@
  * @file
  * Work-stealing scheduler tests: graph mechanics (release order, cycle
  * rejection, exception routing), the deterministic virtual-time model,
- * OrderedSink sequencing — and the property the whole relink engine
- * rests on: byte-identical results and identical schedule reports at
- * any worker count, over 100 randomized DAGs with forced steals.
+ * OrderedSink sequencing, the parallelFor loop — and the property the
+ * whole relink engine rests on: byte-identical results and identical
+ * schedule reports at any worker count, over 100 randomized DAGs with
+ * forced steals.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -217,6 +219,101 @@ TEST(OrderedSinkTest, CommitsRunInSequenceOrderFromAnyThread)
         expect += std::to_string(i) + ",";
     EXPECT_EQ(out, expect);
     EXPECT_EQ(sink.committed(), static_cast<uint64_t>(kN));
+}
+
+// ---- parallelFor: the data-parallel loop on the task graph ------------
+
+/** Distinct thread ids seen by a loop body. */
+class ThreadIds
+{
+  public:
+    void
+    record()
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ids_.insert(std::this_thread::get_id());
+    }
+    size_t
+    count() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return ids_.size();
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::set<std::thread::id> ids_;
+};
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        for (size_t n : {size_t{0}, size_t{1}, size_t{1000}}) {
+            std::vector<std::atomic<int>> hits(n);
+            sched::parallelFor(threads, n,
+                               [&](size_t i) { hits[i].fetch_add(1); });
+            for (size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "threads=" << threads << " n=" << n << " i=" << i;
+        }
+    }
+}
+
+TEST(ParallelFor, FirstExceptionIsRethrown)
+{
+    // Every index still runs; the loop rethrows once it has drained.
+    std::vector<std::atomic<int>> hits(100);
+    EXPECT_THROW(sched::parallelFor(4, hits.size(),
+                                    [&](size_t i) {
+                                        hits[i].fetch_add(1);
+                                        if (i == 37)
+                                            throw std::runtime_error("i37");
+                                    }),
+                 std::runtime_error);
+    for (size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, SingleThreadRunsInlineInIndexOrder)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<int> order;
+    bool inline_only = true;
+    sched::parallelFor(1, 5, [&](size_t i) {
+        order.push_back(static_cast<int>(i));
+        inline_only = inline_only && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(inline_only);
+}
+
+TEST(ParallelFor, NeverUsesMoreThreadsThanRequested)
+{
+    for (unsigned threads : {2u, 3u, 8u}) {
+        ThreadIds ids;
+        sched::parallelFor(threads, 1000, [&](size_t) {
+            ids.record();
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        });
+        EXPECT_LE(ids.count(), threads) << "threads=" << threads;
+        EXPECT_GE(ids.count(), 1u);
+    }
+}
+
+TEST(ParallelFor, NestedParallelForCompletes)
+{
+    // The inner loops run inline on the outer loop's workers, so the
+    // nest completes without adding threads.
+    std::atomic<int> total{0};
+    ThreadIds ids;
+    sched::parallelFor(4, 8, [&](size_t) {
+        sched::parallelFor(4, 8, [&](size_t) {
+            ids.record();
+            total.fetch_add(1);
+        });
+    });
+    EXPECT_EQ(total.load(), 64);
+    EXPECT_LE(ids.count(), 4u);
 }
 
 // ---- The determinism property, 100 seeds ------------------------------

@@ -1,105 +1,26 @@
 /**
  * @file
- * ThreadPool unit tests and the pipeline determinism guarantee: the
- * parallel per-function WPA loop and the per-module codegen fan-out must
- * produce byte-identical artifacts at any thread count.
+ * The pipeline determinism guarantee: the parallel per-function WPA
+ * loop, the per-module codegen fan-out and every standalone parallel
+ * stage (aggregation, DCFG mapping, layout, the fresh and the stale WPA)
+ * must produce byte-identical results at any thread count.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
+#include <sstream>
+#include <string>
 
 #include "build/workflow.h"
-#include "support/thread_pool.h"
+#include "propeller/addr_map_index.h"
+#include "propeller/profile_mapper.h"
+#include "propeller/propeller.h"
+#include "stale/stale.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace propeller {
 namespace {
-
-TEST(ThreadPool, SubmitRunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 64; ++i) {
-        futures.push_back(pool.submit([&counter, i] {
-            counter.fetch_add(1);
-            return i * 2;
-        }));
-    }
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(futures[i].get(), i * 2);
-    EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ThreadPool, ParallelForPropagatesFirstException)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [](size_t i) {
-                                      if (i == 37)
-                                          throw std::runtime_error("i37");
-                                  }),
-                 std::runtime_error);
-}
-
-TEST(ThreadPool, NestedSubmitDoesNotDeadlock)
-{
-    // Every worker blocks on an inner task; waitFor's helping protocol
-    // must drain the queue instead of deadlocking (a plain future.get()
-    // here would hang once tasks outnumber workers).
-    ThreadPool pool(2);
-    std::vector<std::future<int>> outer;
-    for (int i = 0; i < 8; ++i) {
-        outer.push_back(pool.submit([&pool, i] {
-            auto inner = pool.submit([i] { return i + 100; });
-            pool.waitFor(inner);
-            return inner.get();
-        }));
-    }
-    for (int i = 0; i < 8; ++i) {
-        pool.waitFor(outer[i]);
-        EXPECT_EQ(outer[i].get(), i + 100);
-    }
-}
-
-TEST(ThreadPool, NestedParallelForCompletes)
-{
-    ThreadPool pool(4);
-    std::atomic<int> total{0};
-    pool.parallelFor(8, [&](size_t) {
-        pool.parallelFor(8, [&](size_t) { total.fetch_add(1); });
-    });
-    EXPECT_EQ(total.load(), 64);
-}
-
-TEST(ThreadPool, SingleThreadRunsInline)
-{
-    // threads=1 must not spawn workers or touch the shared pool.
-    std::vector<int> order;
-    parallelFor(1, 5, [&](size_t i) {
-        order.push_back(static_cast<int>(i));
-    });
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
 
 /** WPA artifacts and the relinked binary, at a given thread count. */
 struct PipelineArtifacts
@@ -193,6 +114,155 @@ TEST(ThreadingDeterminism, ReferenceSolverArtifactsIdenticalAtAnyThreads)
                 << "threads=" << threads << " reference=" << reference;
         }
     }
+}
+
+/** The aggregation maps, in iteration order, plus the event total. */
+std::string
+dumpAggregate(const profile::AggregatedProfile &agg)
+{
+    std::ostringstream out;
+    out << "total " << agg.totalBranchEvents << "\nbranches";
+    for (const auto &[key, count] : agg.branches)
+        out << ' ' << key << ':' << count;
+    out << "\nranges";
+    for (const auto &[key, count] : agg.ranges)
+        out << ' ' << key << ':' << count;
+    return out.str();
+}
+
+/** Every field of a DCFG, in order. */
+std::string
+dumpDcfg(const core::WholeProgramDcfg &dcfg)
+{
+    std::ostringstream out;
+    for (const core::FunctionDcfg &fn : dcfg.functions) {
+        out << fn.function << " entry " << fn.entryNode << "\n nodes";
+        for (const core::DcfgNode &n : fn.nodes)
+            out << ' ' << n.bbId << '/' << n.size << '/' << n.freq << '/'
+                << int(n.flags);
+        out << "\n edges";
+        for (const core::DcfgEdge &e : fn.edges)
+            out << ' ' << e.fromNode << '>' << e.toNode << ':' << e.weight
+                << '/' << int(e.kind);
+        out << '\n';
+    }
+    for (const core::CallEdge &c : dcfg.callEdges)
+        out << "call " << c.callerDcfg << '.' << c.callerNode << '>'
+            << c.calleeDcfg << ':' << c.weight << '\n';
+    return out.str();
+}
+
+std::string
+dumpMapperStats(const core::MapperStats &s)
+{
+    std::ostringstream out;
+    out << s.branchEdges << ' ' << s.fallThroughEdges << ' ' << s.callEdges
+        << ' ' << s.returnRecords << ' ' << s.unmappedRecords << ' '
+        << s.rangeWalkTruncated;
+    return out.str();
+}
+
+/** Artifacts and every stat of one WPA result. */
+std::string
+dumpWpa(const core::WpaResult &wpa)
+{
+    std::ostringstream out;
+    out.precision(17);
+    const core::WpaStats &s = wpa.stats;
+    const core::ExtTspStats &x = s.extTsp;
+    out << wpa.ccProf.serialize() << wpa.ldProf.serialize() << "hot";
+    for (const auto &name : wpa.hotFunctions)
+        out << ' ' << name;
+    out << "\npeak " << s.peakMemory << " profile " << s.profileBytes
+        << " dcfg " << s.dcfgFootprint << " index " << s.indexFootprint
+        << " hot " << s.hotFunctions << " quarantined " << s.quarantined
+        << " mismatch " << s.profileMismatch << "\nmapper "
+        << dumpMapperStats(s.mapper) << "\nexttsp " << x.merges << ' '
+        << x.candidateEvals << ' ' << x.retrievals << ' ' << x.heapPops
+        << ' ' << x.staleSkips << ' ' << x.finalScore;
+    for (const auto &name : s.quarantinedFunctions)
+        out << ' ' << name;
+    return out.str();
+}
+
+/** Everything the standalone parallel entry points return, at @p jobs. */
+std::string
+standaloneStages(unsigned jobs, const linker::Executable &pm,
+                 const linker::Executable &drifted,
+                 const profile::Profile &prof)
+{
+    std::ostringstream out;
+    out.precision(17);
+    // Small shards, so the aggregation fans out even on a small profile.
+    for (uint32_t per_shard : {64u, 4096u}) {
+        profile::AggregationOptions ao;
+        ao.threads = jobs;
+        ao.samplesPerShard = per_shard;
+        out << "aggregate/" << per_shard << '\n'
+            << dumpAggregate(profile::aggregate(prof, ao)) << '\n';
+    }
+
+    profile::AggregationOptions ao;
+    ao.threads = jobs;
+    profile::AggregatedProfile agg = profile::aggregate(prof, ao);
+    core::AddrMapIndex index(pm);
+    core::MapperStats mstats;
+    core::WholeProgramDcfg dcfg = core::buildDcfg(agg, index, &mstats, jobs);
+    out << "dcfg\n" << dumpDcfg(dcfg) << dumpMapperStats(mstats) << '\n';
+
+    core::LayoutResult layout = core::computeLayout(dcfg, index, {}, jobs);
+    out << "layout\n"
+        << layout.ccProf.serialize() << layout.ldProf.serialize()
+        << layout.extTspStats.finalScore << '\n';
+
+    out << "wpa\n"
+        << dumpWpa(core::runWholeProgramAnalysis(pm, prof, {}, jobs))
+        << '\n';
+
+    stale::StaleWpaResult swr =
+        stale::runStaleWholeProgramAnalysis(drifted, pm, prof, {}, jobs);
+    const stale::StaleMatchStats &m = swr.match;
+    const stale::InferenceStats &inf = swr.inference;
+    out << "stale\n"
+        << dumpWpa(swr.wpa) << "\nmatch " << m.functionsTotal << ' '
+        << m.functionsIdentical << ' ' << m.functionsMatched << ' '
+        << m.functionsDropped << ' ' << m.blocksTotal << ' '
+        << m.blocksExact << ' ' << m.blocksAnchor << ' ' << m.blocksDropped
+        << ' ' << m.weightTotal << ' ' << m.weightMatched << "\ninfer "
+        << inf.functionsInferred << ' ' << inf.nodesAdded << ' '
+        << inf.edgesRerouted << ' ' << inf.edgesAdded << ' '
+        << inf.weightPushed << '\n';
+    return out.str();
+}
+
+TEST(ThreadingDeterminism, StandaloneStagesIdenticalAcrossThreadCounts)
+{
+    // The entry points outside the relink graph — sharded aggregation,
+    // DCFG mapping, layout, the standalone and the stale WPA — fan out
+    // with sched::parallelFor or on their own stage graph; each must
+    // return the same result, down to the aggregation maps' iteration
+    // order and the WPA's modelled peak memory, at any thread count.
+    workload::WorkloadConfig cfg = test::smallConfig(66);
+    cfg.name = "threads4";
+    cfg.jobs = 1;
+    buildsys::Workflow wf(cfg);
+    const linker::Executable &pm = wf.metadataBinary();
+    const profile::Profile &prof = wf.profile();
+
+    // A drifted build of the same program: the stale WPA's target.
+    ir::Program drifted_prog = workload::generate(cfg);
+    workload::applyDrift(drifted_prog, {5, 0.10});
+    cfg.name = "threads4.drifted";
+    buildsys::Workflow drifted_wf(cfg);
+    drifted_wf.overrideProgram(std::move(drifted_prog));
+    const linker::Executable &drifted = drifted_wf.metadataBinary();
+
+    const std::string serial = standaloneStages(1, pm, drifted, prof);
+    ASSERT_NE(serial.find("call "), std::string::npos)
+        << "the DCFG should carry call edges";
+    for (unsigned jobs : {2u, 8u})
+        EXPECT_EQ(standaloneStages(jobs, pm, drifted, prof), serial)
+            << "jobs=" << jobs;
 }
 
 } // namespace

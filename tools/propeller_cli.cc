@@ -43,9 +43,11 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,7 +70,8 @@ namespace {
 
 /**
  * --jobs N: worker threads for every parallel pipeline stage — the
- * scheduler owns the one concurrency setting (0 = all hardware threads).
+ * scheduler owns the one concurrency setting and the only threads, so N
+ * bounds the process (0 = all hardware threads).
  */
 unsigned g_jobs = 0;
 
@@ -730,6 +733,26 @@ cmdServe(const workload::WorkloadConfig &cfg)
     return 0;
 }
 
+/**
+ * Parse a decimal unsigned value.  strtoul alone accepts a sign (and
+ * wraps "-1" to ULONG_MAX) and saturates on overflow, so both are
+ * rejected here, as is anything that does not fit `unsigned`.
+ */
+bool
+parseUnsigned(const char *text, unsigned &out)
+{
+    if (*text < '0' || *text > '9')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    unsigned long n = std::strtoul(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE ||
+        n > std::numeric_limits<unsigned>::max())
+        return false;
+    out = static_cast<unsigned>(n);
+    return true;
+}
+
 int
 usage()
 {
@@ -742,10 +765,12 @@ usage()
                 "  heatmap <workload>\n"
                 "  serve <workload>\n"
                 "options:\n"
-                "  --jobs N            worker threads for every parallel\n"
-                "                      stage: layout, codegen, link\n"
-                "                      assembly, verification\n"
-                "                      (default: all hardware threads)\n"
+                "  --jobs N            worker threads: bounds the process\n"
+                "                      at N threads across every parallel\n"
+                "                      stage — aggregation, mapping,\n"
+                "                      layout, codegen, link assembly,\n"
+                "                      verification (default 0: all\n"
+                "                      hardware threads)\n"
                 "  --backend B         verify: propeller (default) or\n"
                 "                      bolt — aim the static verifier at\n"
                 "                      the chosen optimizer's output\n"
@@ -805,15 +830,12 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--jobs" && i + 1 < argc) {
-            char *end = nullptr;
-            unsigned long n = std::strtoul(argv[++i], &end, 10);
-            if (end == argv[i] || *end != '\0') {
-                std::printf("propeller-cli: --jobs expects a number, got "
-                            "'%s'\n",
-                            argv[i]);
+            if (!parseUnsigned(argv[++i], g_jobs)) {
+                std::printf("propeller-cli: --jobs expects a thread count "
+                            "in [0, %u], got '%s'\n",
+                            std::numeric_limits<unsigned>::max(), argv[i]);
                 return usage();
             }
-            g_jobs = static_cast<unsigned>(n);
             continue;
         }
         if (arg == "--backend" && i + 1 < argc) {
@@ -856,15 +878,12 @@ main(int argc, char **argv)
             continue;
         }
         auto parseCount = [&](const char *flag, unsigned &out) {
-            char *end = nullptr;
-            unsigned long n = std::strtoul(argv[i], &end, 10);
-            if (end == argv[i] || *end != '\0' || n == 0) {
+            if (!parseUnsigned(argv[i], out) || out == 0) {
                 std::printf("propeller-cli: %s expects a positive "
                             "number, got '%s'\n",
                             flag, argv[i]);
                 return false;
             }
-            out = static_cast<unsigned>(n);
             return true;
         };
         auto parseReal = [&](const char *flag, double lo, double hi,
