@@ -8,8 +8,9 @@
  *
  *  - **No false positives.**  A clean end-to-end build must verify with
  *    zero diagnostics (errors, warnings *and* notes) at 1 and at 8
- *    codegen threads, and the verification twin's text must be
- *    byte-identical to the shipped PO binary.
+ *    codegen threads, and the verified binary (the Phase 4 link with
+ *    its address maps kept) must carry the shipped PO binary's text
+ *    byte for byte.
  *
  *  - **No false negatives.**  Every seeded defect class (src/analysis
  *    mutate.h: corrupted branches, addr-map skews, dropped unwind
@@ -93,7 +94,7 @@ main(int argc, char **argv)
     const analysis::VerifyReport &baseline = wf.verifyReport();
     if (!baseline.clean())
         clean_gate = false;
-    const linker::Executable &twin = wf.verifiedBinary();
+    const linker::Executable &verified = wf.verifiedBinary();
     profile::AggregatedProfile agg = profile::aggregate(wf.profile());
     core::AddrMapIndex index(wf.metadataBinary());
 
@@ -110,7 +111,7 @@ main(int argc, char **argv)
         res.cls = analysis::allDefectClasses()[c];
         analysis::CheckId want = analysis::expectedCheck(res.cls);
         for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-            linker::Executable exe = twin;
+            linker::Executable exe = verified;
             core::CcProfile cc = wf.wpa().ccProf;
             core::LdProfile ld = wf.wpa().ldProf;
             core::WholeProgramDcfg dcfg = core::buildDcfg(agg, index);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <unordered_map>
+#include <string_view>
 
 #include "build/journal.h"
 #include "linker/linker.h"
@@ -422,8 +422,14 @@ Workflow::linkWithReport(const std::vector<elf::ObjectFile> &objects,
                          const std::string &phase,
                          const std::vector<std::string> &cached_names)
 {
+    // Each object is gathered on its own; the link resolves, lays out
+    // and emits.
+    std::vector<linker::PreparedObject> prepared(objects.size());
+    sched::parallelFor(config_.jobs, objects.size(), [&](size_t i) {
+        prepared[i] = linker::prepareObject(objects[i], opts);
+    });
     linker::LinkStats stats;
-    linker::Executable exe = linker::link(objects, opts, &stats);
+    linker::Executable exe = linker::link(prepared, opts, &stats);
     if (!phase.empty())
         reports_[phase] = makeLinkReport(phase, objects, stats,
                                          cached_names);
@@ -739,7 +745,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     std::optional<core::WpaPipeline> pipe;
     core::WpaPipeline::StageTasks wpaTasks;
     std::vector<codegen::ClusterSpec> specs;
-    std::unordered_map<std::string, size_t> dcfgIndex;
+    std::map<std::string_view, size_t> dcfgIndex;
     CodegenStage cg;
     // An injected DCFG is not flow-linted (see the lint.flow task).
     const bool lint_flow =
@@ -835,10 +841,15 @@ Workflow::runRelinkGraph(RelinkStage target)
     }
 
     // ---- Phase 4: per-module codegen + per-object link assembly ---------
+    //
+    // The relink links once, keeping the address maps the verifier
+    // needs; the shipped binary is that link's stripped copy.
     std::vector<sched::TaskId> assembleTask;
     sched::TaskId poLink = sched::kInvalidTask;
+    std::vector<linker::PreparedObject> prepared;
+    const linker::Options prepOpts = linkOptions();
     linker::LinkStats poStats;
-    std::optional<linker::Executable> po;
+    std::optional<linker::Executable> kept;
 
     if (need_link) {
         // Directives come from the layout tasks' specs when this graph
@@ -868,15 +879,22 @@ Workflow::runRelinkGraph(RelinkStage target)
             for (sched::TaskId task : cg.tasks)
                 graph.addEdge(wpaTasks.apply, task);
 
+        prepared.resize(nmod);
         for (size_t i = 0; i < nmod; ++i) {
             assembleTask[i] = graph.add(
                 [&, i] {
-                    // Stream this object toward the link and copy its
-                    // sections into the output image — both per-object
-                    // parallel (linkers write disjoint output ranges
-                    // concurrently).  Fetch cost depends on whether the
-                    // object was a cache hit; only symbol resolution
-                    // and layout finalization stay on the link task.
+                    // Gather this object for the link: its sections,
+                    // chunks and branch sites, the targets it defines
+                    // itself and its decoded address map.  Modelled as
+                    // streaming the object toward the link and copying
+                    // its sections into the output image — both
+                    // per-object parallel (linkers write disjoint output
+                    // ranges concurrently).  Fetch cost depends on
+                    // whether the object was a cache hit; only symbol
+                    // resolution and layout finalization stay on the
+                    // link task.
+                    prepared[i] = linker::prepareObject(
+                        cg.batch.objects[i], prepOpts);
                     graph.setCost(
                         assembleTask[i],
                         static_cast<double>(
@@ -898,10 +916,9 @@ Workflow::runRelinkGraph(RelinkStage target)
                 if (hooks_)
                     hooks_->onCachePopulated(cache_);
                 linker::Options opts = linkOptions();
-                opts.outputName = config_.name + ".po";
+                opts.outputName = config_.name + ".po-verify";
                 opts.symbolOrder = wpa_->ldProf.symbolOrder;
-                opts.stripAddrMaps = true;
-                po = linker::link(cg.batch.objects, opts, &poStats);
+                kept = linker::link(prepared, opts, &poStats);
             },
             {"link:po", "phase4.link", cost_.actionOverheadSec});
         for (size_t i = 0; i < nmod; ++i)
@@ -911,7 +928,6 @@ Workflow::runRelinkGraph(RelinkStage target)
     }
 
     // ---- Phase 5: per-range verification --------------------------------
-    std::optional<linker::Executable> twin;
     std::optional<analysis::VerifyOptions> vopts;
     std::unique_ptr<analysis::ExecutableVerifier> verifier;
     std::optional<analysis::VerifyReport> vrep;
@@ -923,33 +939,20 @@ Workflow::runRelinkGraph(RelinkStage target)
 
     if (need_verify) {
         vopts.emplace();
-        const std::vector<elf::ObjectFile> *vobjects =
-            need_link ? &cg.batch.objects : &*phase4Objects_;
-
-        sched::TaskId twinTask = graph.add(
-            [&, vobjects] {
-                linker::Options opts = linkOptions();
-                opts.outputName = config_.name + ".po-verify";
-                opts.symbolOrder = wpa_->ldProf.symbolOrder;
-                twin = linker::link(*vobjects, opts, nullptr);
-            },
-            {"link:twin", "phase5.verify", 0.0});
-        if (need_link) {
-            for (size_t i = 0; i < nmod; ++i)
-                graph.addEdge(assembleTask[i], twinTask);
-            if (need_wpa)
-                graph.addEdge(wpaTasks.merge, twinTask);
-        }
+        // This graph's link, or the one a staged propellerBinary() kept.
+        const std::optional<linker::Executable> &vexe =
+            need_link ? kept : verifiedBinary_;
 
         sched::TaskId setupTask = graph.add(
             [&] {
                 // PV001-PV003 run in the ctor; ranges come after.
                 verifier =
                     std::make_unique<analysis::ExecutableVerifier>(
-                        *twin, *vopts, chunks);
+                        *vexe, *vopts, chunks);
             },
             {"verify.setup", "phase5.verify", 0.0});
-        graph.addEdge(twinTask, setupTask);
+        if (need_link)
+            graph.addEdge(poLink, setupTask);
 
         decodeTask.resize(chunks);
         for (size_t c = 0; c < chunks; ++c) {
@@ -1026,8 +1029,6 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(checkTask[c], finishTask);
             graph.addEdge(addrMapTask[c], finishTask);
         }
-        if (need_link)
-            graph.addEdge(poLink, finishTask);
 
         // PV016 lints the DCFG the WPA applied: this graph's, right after
         // dcfg.apply, or the one a staged wpa() kept.  An injected DCFG
@@ -1075,15 +1076,16 @@ Workflow::runRelinkGraph(RelinkStage target)
         CompileBatch batch = finishCodegenStage(cg);
         recordCodegenReport("phase4.codegen", batch);
         coldObjects_ = batch.cachedNames;
+        // The shipped PO is the kept link minus its address maps, with
+        // the stats a stripped link reports.
+        propellerBinary_ = linker::stripAddrMaps(*kept, &poStats);
+        propellerBinary_->name = config_.name + ".po";
         reports_["phase4.link"] = makeLinkReport(
             "phase4.link", batch.objects, poStats, batch.cachedNames);
-        propellerBinary_ = std::move(po);
-        phase4Objects_ = std::move(batch.objects);
+        verifiedBinary_ = std::move(kept);
     }
 
     if (need_verify) {
-        PROPELLER_CHECK(twin->text == propellerBinary_->text,
-                        "verification twin text diverged from PO");
         analysis::VerifyReport rep = std::move(*vrep);
         rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
                                            pm, *vopts));
@@ -1091,7 +1093,6 @@ Workflow::runRelinkGraph(RelinkStage target)
         flowDcfg_.reset();
         recordVerifyReport("phase5.verify", rep);
         verify_ = std::move(rep);
-        verifyTwin_ = std::move(twin);
     }
 }
 
@@ -1106,7 +1107,7 @@ const linker::Executable &
 Workflow::verifiedBinary()
 {
     ensureVerify();
-    return *verifyTwin_;
+    return *verifiedBinary_;
 }
 
 const std::vector<std::string> &
@@ -1176,12 +1177,9 @@ Workflow::iterativePropellerBinary()
         return *iterative_;
     ensurePhase4();
 
-    // Round 2 metadata binary: the Phase 4 objects, address maps kept.
-    linker::Options pm2_opts = linkOptions();
-    pm2_opts.outputName = config_.name + ".pm2";
-    pm2_opts.symbolOrder = wpa().ldProf.symbolOrder;
-    linker::Executable pm2 =
-        linkWithReport(*phase4Objects_, pm2_opts, "", {});
+    // Round 2 metadata binary: the Phase 4 link, address maps kept.
+    linker::Executable pm2 = *verifiedBinary_;
+    pm2.name = config_.name + ".pm2";
 
     sim::RunResult run =
         sim::run(pm2, workload::profileOptions(config_));

@@ -251,17 +251,21 @@ class Workflow
 
     /**
      * Phase 5 (optional): statically verify the shipped Propeller
-     * binary.  PO links with stripped addr maps, so the verifier runs
-     * over a metadata-keeping twin relinked from the exact Phase 4
-     * objects — text is checked byte-identical to PO, making every
-     * machine-code finding a finding about the shipped bits.  Also
-     * lints the applied Phase 3 artifacts (cc_prof / ld_prof, profile
-     * flow) and records a "phase5.verify" PhaseReport with one failure
-     * line per diagnostic, attributed to the offending function.
+     * binary.  The Phase 4 link keeps its addr maps and PO is its
+     * stripped copy (stripping never moves text), so the verifier runs
+     * over that one link and every machine-code finding is a finding
+     * about the shipped bits.  Also lints the applied Phase 3 artifacts
+     * (cc_prof / ld_prof, profile flow) and records a "phase5.verify"
+     * PhaseReport with one failure line per diagnostic, attributed to
+     * the offending function.
      */
     const analysis::VerifyReport &verifyReport();
 
-    /** The metadata-keeping verification twin of propellerBinary(). */
+    /**
+     * The binary verifyReport() checked: the Phase 4 link with its addr
+     * maps kept ("<app>.po-verify"); propellerBinary() is its copy
+     * without them.
+     */
     const linker::Executable &verifiedBinary();
 
     /**
@@ -531,9 +535,9 @@ class Workflow
     std::optional<profile::Profile> profile_;
     std::optional<core::WpaResult> wpa_;
     std::optional<linker::Executable> propellerBinary_;
-    std::optional<std::vector<elf::ObjectFile>> phase4Objects_;
+    /** The Phase 4 link, addr maps kept (PO is its stripped copy). */
+    std::optional<linker::Executable> verifiedBinary_;
     std::optional<analysis::VerifyReport> verify_;
-    std::optional<linker::Executable> verifyTwin_;
     std::optional<linker::Executable> iterative_;
     std::vector<std::string> coldObjects_;
     std::optional<sched::ScheduleReport> schedule_;

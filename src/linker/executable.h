@@ -31,6 +31,8 @@ struct FuncRange
     uint64_t end = 0;
     bool isPrimary = false; ///< Function entry symbol vs. extra cluster.
     bool isHandAsm = false; ///< Hand-written assembly (unreliable disasm).
+
+    bool operator==(const FuncRange &) const = default;
 };
 
 /** One machine basic block at its final address. */
@@ -46,6 +48,8 @@ struct ExecBlock
 
     /** Static successor block ids from the v2 address map. */
     std::vector<uint32_t> succs;
+
+    bool operator==(const ExecBlock &) const = default;
 };
 
 /** Absolute-address BB map for one function. */
@@ -56,6 +60,8 @@ struct ExecFuncMap
 
     /** Whole-function fingerprint from the v2 address map (0 if v1). */
     uint64_t functionHash = 0;
+
+    bool operator==(const ExecFuncMap &) const = default;
 };
 
 /**
@@ -73,6 +79,8 @@ struct FrameCoverage
     std::string sectionSymbol;
     uint64_t start = 0;
     uint64_t end = 0;
+
+    bool operator==(const FrameCoverage &) const = default;
 };
 
 /**
@@ -89,6 +97,8 @@ struct IntegrityCheck
 {
     std::string function;
     uint64_t expectedHash = 0;
+
+    bool operator==(const IntegrityCheck &) const = default;
 };
 
 /** Final binary size breakdown, one bucket per Figure 6 component. */
@@ -106,6 +116,8 @@ struct SectionSizes
     {
         return text + ehFrame + bbAddrMap + relocs + debug + other;
     }
+
+    bool operator==(const SectionSizes &) const = default;
 };
 
 /** A linked (or post-link-rewritten) binary. */
@@ -157,6 +169,8 @@ struct Executable
 
     /** Total on-disk size (headers + all sections). */
     uint64_t fileSize() const { return 4096 + sizes.total(); }
+
+    bool operator==(const Executable &) const = default;
 };
 
 } // namespace propeller::linker

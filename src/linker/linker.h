@@ -21,6 +21,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -108,6 +109,8 @@ struct LinkStats
     /** Input objects whose .bb_addr_map bytes failed to decode. */
     uint32_t addrMapsRejected = 0;
     std::vector<std::string> rejectedAddrMapObjects; ///< Their names.
+
+    bool operator==(const LinkStats &) const = default;
 };
 
 /**
@@ -132,9 +135,71 @@ linkChecked(const std::vector<elf::ObjectFile> &objects, const Options &opts,
 /**
  * Link @p objects, aborting on malformed input (trusted-input paths —
  * in a closed-world build those failures are always producer bugs).
+ * Both object-vector entry points prepare every object serially.
  */
 Executable link(const std::vector<elf::ObjectFile> &objects,
                 const Options &opts, LinkStats *stats = nullptr);
+
+/**
+ * One input object's share of a link, gathered without looking at any
+ * other object: its text sections with their chunks, branch sites and
+ * sorted block slots, the branch targets it defines itself, its decoded
+ * .bb_addr_map (when kept) and its Figure 6 size contribution.  A link
+ * over prepared objects only resolves what crosses objects, lays out and
+ * emits, so the preparation of different objects can run in parallel.
+ *
+ * Points into the ObjectFile it was prepared from, which must outlive
+ * every link of it.
+ */
+class PreparedObject
+{
+  public:
+    PreparedObject();
+    ~PreparedObject();
+    PreparedObject(PreparedObject &&) noexcept;
+    PreparedObject &operator=(PreparedObject &&) noexcept;
+
+    /** The gathered state (defined by the linker). */
+    struct Parts;
+    const Parts &parts() const { return *parts_; }
+
+  private:
+    friend PreparedObject prepareObject(const elf::ObjectFile &obj,
+                                        const Options &opts);
+    std::unique_ptr<Parts> parts_;
+};
+
+/**
+ * Gather @p obj for a link with @p opts (its stripAddrMaps,
+ * dropAddrMapsOf and emitRelocs decide what is kept and counted; the
+ * link must use the same values).  A malformed object does not fail
+ * here: its first error is recorded and reported by the link, in input
+ * order.
+ */
+PreparedObject prepareObject(const elf::ObjectFile &obj,
+                             const Options &opts);
+
+/**
+ * Link prepared objects (see prepareObject); identical to linking the
+ * objects they were prepared from, errors included.
+ */
+support::StatusOr<Executable>
+linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
+            LinkStats *stats = nullptr);
+
+/** linkChecked over prepared objects, aborting on malformed input. */
+Executable link(const std::vector<PreparedObject> &objects,
+                const Options &opts, LinkStats *stats = nullptr);
+
+/**
+ * What a link with Options::stripAddrMaps set returns, derived from
+ * @p kept, a link of the same inputs and options that kept the maps:
+ * the address maps only annotate the layout and never move text, so
+ * stripping is a pure metadata pass.  The copy has no bbAddrMap and a
+ * zero sizes.bbAddrMap; @p stats, when given, loses the addr-map
+ * rejections a stripped link never decodes.
+ */
+Executable stripAddrMaps(const Executable &kept, LinkStats *stats = nullptr);
 
 } // namespace propeller::linker
 

@@ -162,7 +162,7 @@ struct FleetOptions
 
     /**
      * Run the static verifier (analysis::verifyExecutable, through the
-     * Workflow's phase-5 twin) over every relink output and treat a
+     * Workflow's phase-5 verify) over every relink output and treat a
      * diagnostic as a failed attempt — the "never ship an unverified
      * binary" contract.  On by default; tests that only exercise
      * ingestion may turn it off for speed.

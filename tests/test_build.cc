@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -14,6 +15,8 @@
 #include "build/cache.h"
 #include "build/journal.h"
 #include "build/workflow.h"
+#include "codegen/codegen.h"
+#include "sim/machine.h"
 #include "test_util.h"
 
 namespace propeller::buildsys {
@@ -238,6 +241,81 @@ TEST(WorkflowBinaries, PropellerBinaryNearBaselineSize)
     uint64_t po = wf.propellerBinary().sizes.text;
     EXPECT_LT(po, base * 115 / 100)
         << "PO text must stay within a few percent of baseline";
+}
+
+// ---------------------------------------------------------------------
+// The relink links the Phase 4 objects once
+
+/** Spans of @p schedule that link ("link:..."). */
+size_t
+linkSpans(const sched::ScheduleReport &schedule)
+{
+    return std::count_if(schedule.spans.begin(), schedule.spans.end(),
+                         [](const sched::TaskSpan &span) {
+                             return span.label.rfind("link:", 0) == 0;
+                         });
+}
+
+TEST(RelinkLinksOnce, OneGraphVerifyHasOneLinkSpan)
+{
+    Workflow wf(test::smallConfig(101));
+    wf.verifyReport();
+    EXPECT_EQ(linkSpans(wf.relinkSchedule()), 1u);
+}
+
+TEST(RelinkLinksOnce, StagedVerifyGraphLinksNothing)
+{
+    Workflow wf(test::smallConfig(101));
+    wf.propellerBinary();
+    EXPECT_EQ(linkSpans(wf.relinkSchedule()), 1u);
+    wf.verifyReport();
+    EXPECT_GT(wf.relinkSchedule().tasksExecuted, 0u);
+    EXPECT_EQ(linkSpans(wf.relinkSchedule()), 0u);
+}
+
+TEST(RelinkLinksOnce, VerifiedBinaryIsPoWithMaps)
+{
+    workload::WorkloadConfig cfg = test::smallConfig(102);
+    Workflow wf(cfg);
+    const linker::Executable &verified = wf.verifiedBinary();
+    const linker::Executable &po = wf.propellerBinary();
+    EXPECT_EQ(verified.name, cfg.name + ".po-verify");
+    EXPECT_EQ(po.name, cfg.name + ".po");
+    EXPECT_FALSE(verified.bbAddrMap.empty());
+    EXPECT_GT(verified.sizes.bbAddrMap, 0u);
+    EXPECT_EQ(verified.text, po.text);
+    linker::Executable stripped = linker::stripAddrMaps(verified);
+    stripped.name = po.name;
+    EXPECT_TRUE(stripped == po);
+}
+
+TEST(RelinkLinksOnce, IterativeRoundProfilesTheKeptLink)
+{
+    // Round 2 profiles the Phase 4 link itself, renamed: rebuilding
+    // round 2 by hand from verifiedBinary() reproduces po2 exactly.
+    workload::WorkloadConfig cfg = test::smallConfig(103);
+    Workflow wf(cfg);
+    linker::Executable po2 = wf.iterativePropellerBinary();
+
+    linker::Executable pm2 = wf.verifiedBinary();
+    pm2.name = cfg.name + ".pm2";
+    sim::RunResult run = sim::run(pm2, workload::profileOptions(cfg));
+    core::WpaResult wpa2 =
+        core::runWholeProgramAnalysis(pm2, run.profile, {}, cfg.jobs);
+    codegen::ClusterMap clusters = wpa2.ccProf.clusters;
+    codegen::sanitizeClusterMap(wf.program(), clusters);
+    codegen::Options copts;
+    copts.bbSections = codegen::BbSectionsMode::Clusters;
+    copts.clusters = &clusters;
+    copts.emitAddrMapSection = true;
+    linker::Options lopts;
+    lopts.outputName = cfg.name + ".po2";
+    lopts.entrySymbol = wf.program().entryFunction;
+    lopts.hugePagesText = cfg.hugePages;
+    lopts.symbolOrder = wpa2.ldProf.symbolOrder;
+    lopts.stripAddrMaps = true;
+    EXPECT_TRUE(linker::link(codegen::compileProgram(wf.program(), copts),
+                             lopts) == po2);
 }
 
 // ---------------------------------------------------------------------

@@ -24,6 +24,7 @@
 #include "profile/profile.h"
 #include "support/rng.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace propeller {
 namespace {
@@ -356,6 +357,161 @@ TEST(LinkerTypedErrors, MissingEntrySymbolIsError)
     ASSERT_FALSE(exe.ok());
     EXPECT_NE(exe.status().message().find("entry symbol"),
               std::string::npos);
+}
+
+/** tinyProgram with one text section per block: several per object. */
+std::vector<elf::ObjectFile>
+blockSectionObjects()
+{
+    codegen::Options copts;
+    copts.bbSections = codegen::BbSectionsMode::All;
+    copts.emitAddrMapSection = true;
+    return codegen::compileProgram(test::tinyProgram(), copts);
+}
+
+/** Indices of @p obj's text sections, in section order. */
+std::vector<uint32_t>
+textSections(const elf::ObjectFile &obj)
+{
+    std::vector<uint32_t> text;
+    for (uint32_t i = 0; i < obj.sections.size(); ++i)
+        if (obj.sections[i].type == elf::SectionType::Text)
+            text.push_back(i);
+    return text;
+}
+
+/** Drop the symbols defining section @p index; returns one's name. */
+std::string
+undefineSection(elf::ObjectFile &obj, uint32_t index)
+{
+    std::string name;
+    for (const auto &sym : obj.symbols)
+        if (sym.sectionIndex == index)
+            name = sym.name;
+    std::erase_if(obj.symbols, [index](const elf::Symbol &sym) {
+        return sym.sectionIndex == index;
+    });
+    return name;
+}
+
+linker::Options
+tinyLinkOptions()
+{
+    linker::Options opts;
+    opts.entrySymbol = "main";
+    return opts;
+}
+
+TEST(LinkerTypedErrors, SymbolPastLastSectionIsIgnored)
+{
+    auto objects = blockSectionObjects();
+    linker::LinkStats want_stats;
+    auto want = linker::linkChecked(objects, tinyLinkOptions(), &want_stats);
+    ASSERT_TRUE(want.ok());
+
+    // A symbol naming no section of its object defines nothing; the
+    // section index lookup must not read past the section table.
+    elf::Symbol stray;
+    stray.name = "stray";
+    stray.parentFunction = "stray";
+    stray.sectionIndex = static_cast<uint32_t>(objects[0].sections.size());
+    objects[0].symbols.push_back(stray);
+    stray.sectionIndex = UINT32_MAX;
+    objects[0].symbols.push_back(stray);
+
+    linker::LinkStats stats;
+    auto exe = linker::linkChecked(objects, tinyLinkOptions(), &stats);
+    ASSERT_TRUE(exe.ok()) << exe.status().toString();
+    EXPECT_TRUE(*exe == *want);
+    // Only the input size (the symbol table is serialized) and the
+    // memory model charged for it grow.
+    EXPECT_GT(stats.inputBytes, want_stats.inputBytes);
+    stats.inputBytes = want_stats.inputBytes;
+    stats.peakMemory = want_stats.peakMemory;
+    EXPECT_TRUE(stats == want_stats);
+}
+
+TEST(LinkerTypedErrors, FirstMalformedObjectWins)
+{
+    auto objects = blockSectionObjects();
+    ASSERT_EQ(objects.size(), 1u);
+    objects.push_back(objects[0]);
+    objects[1].name = "copy.o";
+    // The first object fails late (its last text section), the second
+    // early (its first): input order decides, not where in an object.
+    std::vector<uint32_t> text0 = textSections(objects[0]);
+    ASSERT_GE(text0.size(), 3u);
+    undefineSection(objects[0], text0.back());
+    undefineSection(objects[1], textSections(objects[1]).front());
+
+    auto exe = linker::linkChecked(objects, tinyLinkOptions());
+    ASSERT_FALSE(exe.ok());
+    EXPECT_EQ(exe.status().code(), support::ErrorCode::kMalformed);
+    EXPECT_EQ(exe.status().message(),
+              "object tiny_mod.o: text section " +
+                  objects[0].sections[text0.back()].name +
+                  " has no defining symbol");
+}
+
+TEST(LinkerTypedErrors, EarlierDuplicateBeatsLaterUndefinedSection)
+{
+    auto objects = blockSectionObjects();
+    std::vector<uint32_t> text = textSections(objects[0]);
+    ASSERT_GE(text.size(), 4u);
+    // Text section 1 re-defines section 0's symbol; section 3 has none.
+    std::string first;
+    for (auto &sym : objects[0].symbols)
+        if (sym.sectionIndex == text[0])
+            first = sym.name;
+    for (auto &sym : objects[0].symbols)
+        if (sym.sectionIndex == text[1])
+            sym.name = first;
+    undefineSection(objects[0], text[3]);
+
+    auto exe = linker::linkChecked(objects, tinyLinkOptions());
+    ASSERT_FALSE(exe.ok());
+    EXPECT_EQ(exe.status().code(), support::ErrorCode::kMalformed);
+    EXPECT_EQ(exe.status().message(),
+              "duplicate section symbol " + first + " (object tiny_mod.o)");
+}
+
+TEST(LinkerTypedErrors, BranchToUnmappedBlockNamesBlockAndTarget)
+{
+    // A branch within its own object (resolved while the object is
+    // prepared) and a call into another object (resolved at link).
+    ir::Program program = workload::generate(test::smallConfig());
+    auto objects = codegen::compileProgram(program, {});
+    ASSERT_GE(objects.size(), 2u);
+    auto definesSymbol = [](const elf::ObjectFile &obj,
+                            const std::string &name) {
+        return std::any_of(obj.symbols.begin(), obj.symbols.end(),
+                           [&](const elf::Symbol &s) {
+                               return s.name == name;
+                           });
+    };
+    for (bool local : {true, false}) {
+        auto broken = objects;
+        elf::BranchSite *site = nullptr;
+        for (auto &obj : broken) {
+            for (auto &sec : obj.sections)
+                for (auto &piece : sec.pieces)
+                    if (!site && piece.site &&
+                        definesSymbol(obj, piece.site->targetSymbol) ==
+                            local)
+                        site = &*piece.site;
+        }
+        ASSERT_NE(site, nullptr) << local;
+        site->targetBb = 4242;
+
+        linker::Options opts;
+        opts.entrySymbol = program.entryFunction;
+        auto exe = linker::linkChecked(broken, opts);
+        ASSERT_FALSE(exe.ok()) << local;
+        EXPECT_EQ(exe.status().code(), support::ErrorCode::kUnresolved);
+        EXPECT_EQ(exe.status().message(),
+                  "branch to unmapped block #4242 in " +
+                      site->targetSymbol);
+    }
 }
 
 TEST(LinkerQuarantine, OverflowRevertsFunctionNotBuild)

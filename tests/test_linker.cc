@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+
+#include "build/workflow.h"
 #include "codegen/codegen.h"
+#include "isa/isa.h"
 #include "linker/linker.h"
 #include "test_util.h"
+#include "workload/workload.h"
 
 namespace propeller::linker {
 namespace {
@@ -301,6 +307,154 @@ TEST(Linker, DeterministicOutput)
     Executable b = link(compiled(program), baseOptions());
     EXPECT_EQ(a.text, b.text);
     EXPECT_EQ(a.entryAddress, b.entryAddress);
+}
+
+/** The largest branch displacement magnitude in @p exe's text. */
+int64_t
+longestDisplacement(const Executable &exe)
+{
+    int64_t longest = 0;
+    for (const auto &sym : exe.symbols) {
+        if (sym.isHandAsm)
+            continue;
+        for (uint64_t pc = sym.start; pc < sym.end;) {
+            auto inst = isa::decode(exe.text.data() + (pc - exe.textBase),
+                                    sym.end - pc);
+            if (!inst)
+                break;
+            if (inst->isCondBranch() || inst->isUncondBranch() ||
+                inst->isCall())
+                longest = std::max<int64_t>(
+                    longest, std::abs(static_cast<int64_t>(inst->rel)));
+            pc += inst->size();
+        }
+    }
+    return longest;
+}
+
+/** A text section with a branch to @p target other than itself; "" if none. */
+std::string
+sectionBranchingTo(const std::vector<elf::ObjectFile> &objects,
+                   const std::string &target)
+{
+    for (const auto &obj : objects) {
+        for (const auto &sym : obj.symbols) {
+            if (sym.sectionIndex >= obj.sections.size() || sym.name == target)
+                continue;
+            for (const auto &piece : obj.sections[sym.sectionIndex].pieces)
+                if (piece.site && piece.site->targetSymbol == target)
+                    return sym.name;
+        }
+    }
+    return "";
+}
+
+/**
+ * Link @p objects with the maps kept and stripped; the strip of the kept
+ * link must equal the stripped link in every field, stats included.
+ * Returns the kept link's stats (for the callers' coverage checks).
+ */
+LinkStats
+expectStripEqualsStrippedLink(const std::vector<elf::ObjectFile> &objects,
+                              Options opts, const std::string &what)
+{
+    opts.stripAddrMaps = false;
+    LinkStats kept_stats;
+    auto kept = linkChecked(objects, opts, &kept_stats);
+    opts.stripAddrMaps = true;
+    LinkStats stripped_stats;
+    auto stripped = linkChecked(objects, opts, &stripped_stats);
+    EXPECT_TRUE(kept.ok()) << what << ": " << kept.status().toString();
+    EXPECT_TRUE(stripped.ok()) << what;
+    if (!kept.ok() || !stripped.ok())
+        return kept_stats;
+
+    LinkStats stats = kept_stats;
+    Executable strip = stripAddrMaps(*kept, &stats);
+    EXPECT_TRUE(strip.bbAddrMap.empty()) << what;
+    EXPECT_EQ(strip.sizes.bbAddrMap, 0u) << what;
+    // Field by field first, so a failure names the field.
+    EXPECT_EQ(strip.text, stripped->text) << what;
+    EXPECT_EQ(strip.symbols, stripped->symbols) << what;
+    EXPECT_EQ(strip.frames, stripped->frames) << what;
+    EXPECT_EQ(strip.integrityChecks, stripped->integrityChecks) << what;
+    EXPECT_EQ(strip.sizes, stripped->sizes) << what;
+    EXPECT_EQ(strip.identityHash, stripped->identityHash) << what;
+    EXPECT_TRUE(strip == *stripped) << what;
+    EXPECT_EQ(stats.quarantined, stripped_stats.quarantined) << what;
+    EXPECT_TRUE(stats == stripped_stats) << what;
+    return kept_stats;
+}
+
+TEST(Linker, StrippedLinkIsKeptLinkMinusMaps)
+{
+    for (const char *app : {"clang", "bigtable", "mysql"}) {
+        workload::WorkloadConfig cfg = workload::configByName(app);
+        buildsys::Workflow wf(cfg);
+        const ir::Program &program = wf.program();
+
+        codegen::Options phase2;
+        phase2.emitAddrMapSection = true;
+        codegen::ClusterMap clusters = wf.wpa().ccProf.clusters;
+        codegen::sanitizeClusterMap(program, clusters);
+        codegen::Options phase4 = phase2;
+        phase4.bbSections = codegen::BbSectionsMode::Clusters;
+        phase4.clusters = &clusters;
+
+        for (const codegen::Options *copts : {&phase2, &phase4}) {
+            const std::string tag = std::string(app) +
+                                    (copts == &phase2 ? " phase2" : " phase4");
+            std::vector<elf::ObjectFile> objects =
+                codegen::compileProgram(program, *copts);
+            Options opts;
+            opts.entrySymbol = program.entryFunction;
+            opts.outputName = cfg.name + ".po";
+
+            LinkStats st = expectStripEqualsStrippedLink(objects, opts,
+                                                         tag + " in order");
+            EXPECT_EQ(st.addrMapsRejected, 0u) << tag;
+
+            Options ordered = opts;
+            ordered.symbolOrder = wf.wpa().ldProf.symbolOrder;
+            expectStripEqualsStrippedLink(objects, ordered,
+                                          tag + " ordered");
+
+            std::set<std::string> cold;
+            for (size_t i = 0; i < objects.size(); i += 2)
+                cold.insert(objects[i].name);
+            Options dropping = ordered;
+            dropping.dropAddrMapsOf = &cold;
+            expectStripEqualsStrippedLink(objects, dropping,
+                                          tag + " dropAddrMapsOf");
+
+            // One object's maps fail their checksum: the kept link
+            // rejects them, the stripped link never decodes them.
+            std::vector<elf::ObjectFile> flipped = objects;
+            int map = flipped[1].findSection(".bb_addr_map");
+            ASSERT_GE(map, 0) << tag;
+            flipped[1].sections[map].bytes[4] ^= 0x10;
+            st = expectStripEqualsStrippedLink(flipped, ordered,
+                                               tag + " rejected maps");
+            EXPECT_EQ(st.addrMapsRejected, 1u) << tag;
+
+            // Quarantine: T is the last section in input order that
+            // another section S branches to.  Listing S first stretches
+            // that branch across nearly the whole image; at input
+            // order's longest displacement S's function is quarantined
+            // back to input order, which links.
+            Executable in_order = link(objects, opts);
+            std::string first;
+            for (size_t k = in_order.symbols.size(); k-- > 0 && first.empty();)
+                first = sectionBranchingTo(objects, in_order.symbols[k].name);
+            ASSERT_FALSE(first.empty()) << tag;
+            Options narrow = opts;
+            narrow.symbolOrder = {first};
+            narrow.maxBranchDisplacement = longestDisplacement(in_order);
+            st = expectStripEqualsStrippedLink(objects, narrow,
+                                               tag + " quarantine");
+            EXPECT_GT(st.quarantinedFunctions, 0u) << tag;
+        }
+    }
 }
 
 } // namespace

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "build/workflow.h"
+#include "codegen/codegen.h"
+#include "linker/linker.h"
 #include "propeller/addr_map_index.h"
 #include "propeller/profile_mapper.h"
 #include "propeller/propeller.h"
+#include "sched/sched.h"
 #include "stale/stale.h"
 #include "test_util.h"
 #include "workload/workload.h"
@@ -263,6 +267,48 @@ TEST(ThreadingDeterminism, StandaloneStagesIdenticalAcrossThreadCounts)
     for (unsigned jobs : {2u, 8u})
         EXPECT_EQ(standaloneStages(jobs, pm, drifted, prof), serial)
             << "jobs=" << jobs;
+}
+
+TEST(ThreadingDeterminism, LinkIdenticalAcrossThreadCounts)
+{
+    // The PM link prepares its objects on sched::parallelFor: the result
+    // must equal the serial link in every field, stats included, and the
+    // workflow's metadata binary must not depend on the thread count.
+    for (const char *app : {"clang", "bigtable"}) {
+        workload::WorkloadConfig cfg = workload::configByName(app);
+        ir::Program program = workload::generate(cfg);
+        codegen::Options copts;
+        copts.emitAddrMapSection = true;
+        std::vector<elf::ObjectFile> objects =
+            codegen::compileProgram(program, copts);
+        linker::Options opts;
+        opts.outputName = cfg.name + ".pm";
+        opts.entrySymbol = program.entryFunction;
+        opts.hugePagesText = cfg.hugePages;
+        linker::LinkStats serial_stats;
+        linker::Executable serial =
+            linker::link(objects, opts, &serial_stats);
+
+        std::optional<linker::Executable> pm;
+        for (unsigned jobs : {1u, 2u, 8u}) {
+            std::vector<linker::PreparedObject> prepared(objects.size());
+            sched::parallelFor(jobs, objects.size(), [&](size_t i) {
+                prepared[i] = linker::prepareObject(objects[i], opts);
+            });
+            linker::LinkStats stats;
+            linker::Executable exe = linker::link(prepared, opts, &stats);
+            EXPECT_TRUE(exe == serial) << app << " jobs=" << jobs;
+            EXPECT_TRUE(stats == serial_stats) << app << " jobs=" << jobs;
+
+            cfg.jobs = jobs;
+            buildsys::Workflow wf(cfg);
+            if (!pm)
+                pm = wf.metadataBinary();
+            EXPECT_TRUE(wf.metadataBinary() == *pm)
+                << app << " jobs=" << jobs;
+        }
+        EXPECT_TRUE(*pm == serial) << app;
+    }
 }
 
 } // namespace

@@ -27,8 +27,9 @@
  *   verify <workload>            statically verify the Propeller-
  *                                optimized binary: IR invariants, then
  *                                the post-link disassembly cross-check
- *                                (src/analysis) over a metadata-keeping
- *                                twin of PO plus lints of the applied
+ *                                (src/analysis) over the Phase 4 link
+ *                                with its addr maps kept (PO is its
+ *                                stripped copy) plus lints of the applied
  *                                Phase 3 artifacts; --json emits the CI
  *                                artifact form, --suppress PV004,...
  *                                mutes specific checks
@@ -529,9 +530,9 @@ cmdVerify(const workload::WorkloadConfig &cfg)
         return 1;
     }
 
-    // The canonical phase-5 pass (twin relink + all machine checks) —
-    // or the same machine checks aimed at the BOLT rewrite — refiltered
-    // through the user's suppression list.
+    // The canonical phase-5 pass (all machine checks over the Phase 4
+    // link, addr maps kept) — or the same machine checks aimed at the
+    // BOLT rewrite — refiltered through the user's suppression list.
     if (g_backend != "propeller" && g_backend != "bolt") {
         std::fprintf(stderr, "propeller-cli: unknown --backend '%s'\n",
                      g_backend.c_str());
