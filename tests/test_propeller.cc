@@ -99,6 +99,261 @@ TEST(AddrMapIndex, BlocksOfReturnsAllBlocks)
     EXPECT_FALSE(index.block(0, 99).has_value());
 }
 
+// ---- Sanitizing construction on hand-built executables ---------------
+
+linker::ExecBlock
+blk(uint32_t id, uint64_t addr, uint32_t size,
+    std::vector<uint32_t> succs = {}, uint64_t hash = 0)
+{
+    linker::ExecBlock block;
+    block.bbId = id;
+    block.address = addr;
+    block.size = size;
+    block.hash = hash;
+    block.succs = std::move(succs);
+    return block;
+}
+
+linker::ExecFuncMap
+fmap(const std::string &function, std::vector<linker::ExecBlock> blocks,
+     uint64_t function_hash = 0)
+{
+    linker::ExecFuncMap map;
+    map.function = function;
+    map.blocks = std::move(blocks);
+    map.functionHash = function_hash;
+    return map;
+}
+
+/** A 4 KiB text image at 0x1000 carrying @p maps. */
+linker::Executable
+handExe(std::vector<linker::ExecFuncMap> maps)
+{
+    linker::Executable exe;
+    exe.textBase = 0x1000;
+    exe.text.assign(0x1000, 0);
+    exe.bbAddrMap = std::move(maps);
+    return exe;
+}
+
+std::vector<uint32_t>
+succsOf(const AddrMapIndex &index, uint32_t f, uint32_t bb)
+{
+    const auto &succs = index.successors(f, bb);
+    return std::vector<uint32_t>(succs.begin(), succs.end());
+}
+
+TEST(AddrMapIndex, QuarantinesEachInconsistencyClass)
+{
+    // Every function has two maps, each sane on its own: only the
+    // function's combined block list is inconsistent.
+    linker::Executable exe = handExe({
+        fmap("ok", {blk(0, 0x1000, 4), blk(1, 0x1004, 4)}),
+        fmap("dup", {blk(0, 0x1100, 4)}),
+        fmap("outside", {blk(0, 0x1300, 4)}),
+        fmap("below", {blk(0, 0x1400, 4)}),
+        fmap("wrap", {blk(0, 0x1500, 4)}),
+        fmap("overlap", {blk(0, 0x1600, 8)}),
+        fmap("ok", {blk(2, 0x1200, 4)}),
+        fmap("dup", {blk(0, 0x1110, 4)}),
+        fmap("outside", {blk(1, 0x1ffe, 4)}),
+        fmap("below", {blk(1, 0xff0, 4)}),
+        fmap("wrap", {blk(1, UINT64_MAX - 1, 4)}),
+        fmap("overlap", {blk(1, 0x1604, 4)}),
+    });
+    AddrMapIndex index(exe);
+    EXPECT_EQ(index.quarantined(),
+              (std::vector<std::string>{"below", "dup", "outside",
+                                        "overlap", "wrap"}));
+    EXPECT_EQ(index.functionNames(), (std::vector<std::string>{"ok"}));
+    EXPECT_EQ(index.blockCount(), 3u);
+    for (uint64_t addr : {0x1100, 0x1110, 0x1300, 0x1400, 0x1500, 0x1600,
+                          0x1604, 0x1ffe})
+        EXPECT_FALSE(index.lookup(addr).has_value()) << std::hex << addr;
+    for (const char *name : {"dup", "outside", "below", "wrap", "overlap"})
+        EXPECT_EQ(index.findFunction(name), -1) << name;
+
+    // Both of the healthy function's maps are indexed.
+    ASSERT_EQ(index.findFunction("ok"), 0);
+    auto second = index.lookup(0x1202);
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->bbId, 2u);
+    EXPECT_EQ(index.blocksOf(0).size(), 3u);
+}
+
+TEST(AddrMapIndex, QuarantineSortedFunctionsInFirstAppearanceOrder)
+{
+    linker::Executable exe = handExe({
+        fmap("zeta", {blk(0, 0x1000, 4)}),
+        fmap("beta", {blk(0, 0x1100, 4)}, 0x11),
+        fmap("alpha", {blk(0, 0x1200, 4), blk(0, 0x1204, 4)}),
+        fmap("gamma", {blk(0, 0x1050, 4)}, 0x33),
+        fmap("beta", {blk(1, 0x1010, 4)}, 0x22),
+        fmap("zeta", {blk(0, 0x1300, 4)}),
+        fmap("mid", {blk(0, 0x1400, 8), blk(1, 0x1404, 4)}),
+    });
+    AddrMapIndex index(exe);
+    EXPECT_EQ(index.quarantined(),
+              (std::vector<std::string>{"alpha", "mid", "zeta"}));
+    EXPECT_EQ(index.functionNames(),
+              (std::vector<std::string>{"beta", "gamma"}));
+    // A function's hash comes from its first map.
+    EXPECT_EQ(index.functionHash(0), 0x11u);
+    EXPECT_EQ(index.functionHash(1), 0x33u);
+    // Blocks of one function, in address order across its maps.
+    std::vector<uint32_t> ids;
+    for (const BlockRef &ref : index.blocksOf(0))
+        ids.push_back(ref.bbId);
+    EXPECT_EQ(ids, (std::vector<uint32_t>{1, 0}));
+}
+
+TEST(AddrMapIndex, ZeroSizeBlocksKeepTheirTieOrder)
+{
+    // Maps listed out of address order; at each shared address the
+    // blocks keep the order they appear in bbAddrMap.
+    linker::Executable exe = handExe({
+        fmap("g", {blk(0, 0x1100, 4)}),
+        fmap("k", {blk(0, 0x1004, 0)}),
+        fmap("f", {blk(0, 0x1000, 4), blk(1, 0x1004, 0), blk(2, 0x1004, 0),
+                   blk(3, 0x1004, 4)}),
+        fmap("f", {blk(4, 0x1008, 0)}),
+        fmap("h", {blk(0, 0x1008, 4)}),
+    });
+    AddrMapIndex index(exe);
+    ASSERT_TRUE(index.quarantined().empty());
+
+    std::vector<std::pair<std::string, uint32_t>> walk;
+    auto cur = index.lookup(0x1000);
+    ASSERT_TRUE(cur.has_value());
+    for (; cur; cur = index.next(*cur))
+        walk.emplace_back(index.functionNames()[cur->funcIndex], cur->bbId);
+    EXPECT_EQ(walk, (std::vector<std::pair<std::string, uint32_t>>{
+                        {"f", 0},
+                        {"k", 0},
+                        {"f", 1},
+                        {"f", 2},
+                        {"f", 3},
+                        {"f", 4},
+                        {"h", 0},
+                        {"g", 0}}));
+
+    // An address resolves to the non-empty block starting there.
+    EXPECT_EQ(index.lookup(0x1004)->bbId, 3u);
+    EXPECT_EQ(index.lookup(0x1008)->funcIndex,
+              static_cast<uint32_t>(index.findFunction("h")));
+    std::vector<uint32_t> ids;
+    for (const BlockRef &ref :
+         index.blocksOf(static_cast<uint32_t>(index.findFunction("f"))))
+        ids.push_back(ref.bbId);
+    EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(AddrMapIndex, EntryBlockMayHaveAnEmptyEncoding)
+{
+    linker::Executable exe = handExe({
+        fmap("f", {blk(3, 0x1000, 0), blk(1, 0x1000, 4), blk(2, 0x1004, 4)}),
+        fmap("g", {blk(9, 0x1010, 4), blk(7, 0x1014, 4)}),
+        fmap("nosym", {blk(5, 0x1020, 4)}),
+    });
+    auto sym = [](const std::string &name, const std::string &parent,
+                  uint64_t start, uint64_t end, bool primary) {
+        linker::FuncRange range;
+        range.name = name;
+        range.parentFunction = parent;
+        range.start = start;
+        range.end = end;
+        range.isPrimary = primary;
+        return range;
+    };
+    exe.symbols = {sym("f.cold", "f", 0x1004, 0x1008, false),
+                   sym("f", "f", 0x1000, 0x1004, true),
+                   sym("g", "g", 0x1014, 0x1018, true),
+                   sym("absent", "absent", 0x1030, 0x1034, true)};
+    AddrMapIndex index(exe);
+    EXPECT_EQ(index.entryBlock(index.findFunction("f")), 3u);
+    // The block at the primary symbol, not the lowest address or id.
+    EXPECT_EQ(index.entryBlock(index.findFunction("g")), 7u);
+    EXPECT_EQ(index.entryBlock(index.findFunction("nosym")), 0u);
+}
+
+TEST(AddrMapIndex, SuccessorsFromV2MetadataOnly)
+{
+    linker::Executable v2 = handExe({
+        fmap("f",
+             {blk(0, 0x1000, 4, {1, 2}, 0xa), blk(1, 0x1004, 4, {2}, 0xb),
+              blk(2, 0x1008, 4, {}, 0xc)},
+             0xf),
+        fmap("g", {blk(0, 0x1010, 4, {0}, 0xd)}, 0xe),
+        fmap("f", {blk(5, 0x1020, 4, {0, 1}, 0x5)}, 0xf),
+    });
+    AddrMapIndex index(v2);
+    EXPECT_EQ(succsOf(index, 0, 0), (std::vector<uint32_t>{1, 2}));
+    EXPECT_EQ(succsOf(index, 0, 1), (std::vector<uint32_t>{2}));
+    EXPECT_TRUE(succsOf(index, 0, 2).empty());
+    EXPECT_EQ(succsOf(index, 0, 5), (std::vector<uint32_t>{0, 1}));
+    EXPECT_TRUE(succsOf(index, 0, 99).empty());
+    EXPECT_EQ(succsOf(index, 1, 0), (std::vector<uint32_t>{0}));
+    EXPECT_EQ(index.block(0, 5)->blockStart, 0x1020u);
+    EXPECT_EQ(index.block(0, 5)->hash, 0x5u);
+    EXPECT_FALSE(index.block(1, 5).has_value());
+
+    linker::Executable v1 = handExe({
+        fmap("f", {blk(0, 0x1000, 4), blk(1, 0x1004, 4), blk(2, 0x1008, 4)}),
+    });
+    AddrMapIndex v1_index(v1);
+    for (uint32_t bb : {0u, 1u, 2u})
+        EXPECT_TRUE(succsOf(v1_index, 0, bb).empty()) << bb;
+    EXPECT_EQ(v1_index.functionHash(0), 0u);
+}
+
+TEST(AddrMapIndex, BlockCountAndFootprint)
+{
+    linker::Executable exe = handExe({
+        fmap("f", {blk(0, 0x1000, 4), blk(1, 0x1004, 4)}),
+        fmap("bad", {blk(0, 0x1100, 4), blk(0, 0x1104, 4)}),
+        fmap("g", {blk(0, 0x1200, 4)}),
+        fmap("f", {blk(2, 0x1300, 4), blk(3, 0x1304, 0)}),
+    });
+    AddrMapIndex index(exe);
+    EXPECT_EQ(index.blockCount(), 5u);
+    // The modelled footprint feeds the WPA memory meter: 40 bytes per
+    // indexed block plus 48 per indexed function.
+    EXPECT_EQ(index.footprint(), 5u * 40 + 2u * 48);
+
+    AddrMapIndex empty(handExe({}));
+    EXPECT_EQ(empty.blockCount(), 0u);
+    EXPECT_EQ(empty.footprint(), 0u);
+    EXPECT_EQ(empty.findFunction("f"), -1);
+}
+
+TEST(AddrMapIndex, FindFunctionAgreesWithLinearScan)
+{
+    buildsys::Workflow wf(test::smallConfig(57));
+    linker::Executable exe = wf.metadataBinary();
+    // Quarantine one function: a duplicate of its first block id.
+    ASSERT_GE(exe.bbAddrMap.size(), 2u);
+    linker::ExecFuncMap &victim = exe.bbAddrMap[1];
+    ASSERT_GE(victim.blocks.size(), 2u);
+    victim.blocks[1].bbId = victim.blocks[0].bbId;
+    AddrMapIndex index(exe);
+    ASSERT_EQ(index.quarantined(),
+              (std::vector<std::string>{victim.function}));
+
+    const std::vector<std::string> &names = index.functionNames();
+    ASSERT_GT(names.size(), 10u);
+    for (const auto &map : exe.bbAddrMap) {
+        auto it = std::find(names.begin(), names.end(), map.function);
+        int linear = it == names.end()
+                         ? -1
+                         : static_cast<int>(it - names.begin());
+        EXPECT_EQ(index.findFunction(map.function), linear)
+            << map.function;
+    }
+    EXPECT_EQ(index.findFunction(victim.function), -1);
+    EXPECT_EQ(index.findFunction("no_such_function"), -1);
+    EXPECT_EQ(index.findFunction(""), -1);
+}
+
 TEST(ProfileMapper, RecoversGroundTruthEdges)
 {
     linker::Executable exe = metadataTiny();
