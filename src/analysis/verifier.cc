@@ -50,7 +50,8 @@ struct ExeVerifier
     /** reach[i]: largest end of the valid ranges among ranges[0..i]. */
     std::vector<uint64_t> reach;
     std::unordered_map<uint64_t, const FuncRange *> primaryStarts;
-    std::unordered_map<std::string, const FuncRange *> rangeByName;
+    /** Keys view the symbols' names; the first range of a name wins. */
+    std::unordered_map<std::string_view, const FuncRange *> rangeByName;
 
     /** (parent function, index into ranges) of every valid range, sorted. */
     std::vector<std::pair<std::string_view, size_t>> fnRanges;
@@ -133,7 +134,9 @@ ExeVerifier::checkSymbols()
                   return a.sym->start < b.sym->start;
               });
 
-    std::unordered_set<std::string> functions;
+    std::unordered_set<std::string_view> functions;
+    functions.reserve(ranges.size());
+    rangeByName.reserve(ranges.size());
     for (auto &info : ranges) {
         const FuncRange &sym = *info.sym;
         functions.insert(sym.parentFunction);
@@ -663,6 +666,12 @@ void
 ExecutableVerifier::decodeRange(size_t r)
 {
     impl_->v.decodeRange(impl_->v.ranges[r], impl_->decodeSlots[r]);
+}
+
+void
+ExecutableVerifier::releaseRange(size_t r)
+{
+    impl_->v.ranges[r].dis = {};
 }
 
 void

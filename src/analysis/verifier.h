@@ -103,6 +103,10 @@ VerifyReport verifyExecutable(const linker::Executable &exe,
  *   checkAddrMapChunk(c) — address-map checks (PV006/PV009/PV010) for
  *                          one contiguous slice of Executable::bbAddrMap;
  *                          thread-safe across distinct c;
+ *   releaseRange(r)      — free range r's decoded instructions once every
+ *                          checkRange and checkAddrMapChunk has run;
+ *                          thread-safe across distinct r and alongside
+ *                          finish(), which never reads them;
  *   finish()             — eh_frame, integrity and symbol-order checks
  *                          plus the deterministic merge: per-range and
  *                          per-chunk findings re-emit in range and map
@@ -136,6 +140,7 @@ class ExecutableVerifier
     void decodeRange(size_t r);
     void checkRange(size_t r);
     void checkAddrMapChunk(size_t c);
+    void releaseRange(size_t r);
     VerifyReport finish();
 
   private:

@@ -384,7 +384,7 @@ Workflow::recordCodegenReport(const std::string &phase,
 
 PhaseReport
 Workflow::makeLinkReport(const std::string &phase,
-                         const std::vector<elf::ObjectFile> &objects,
+                         const std::vector<LinkInput> &inputs,
                          const linker::LinkStats &stats,
                          const std::vector<std::string> &cached_names)
     const
@@ -392,11 +392,11 @@ Workflow::makeLinkReport(const std::string &phase,
     std::set<std::string> cached(cached_names.begin(),
                                  cached_names.end());
     double cost = 0.0;
-    for (const auto &obj : objects) {
-        double bytes = static_cast<double>(obj.sizeInBytes());
+    for (const auto &input : inputs) {
+        double bytes = static_cast<double>(input.bytes);
         // Cold cache hits stream from the content store; fresh
         // outputs must be gathered from the workers that built them.
-        cost += bytes * (cached.count(obj.name)
+        cost += bytes * (cached.count(input.name)
                              ? cost_.fetchCachedSecPerByte
                              : cost_.fetchFreshSecPerByte);
         cost += bytes * cost_.linkSecPerByte;
@@ -430,9 +430,14 @@ Workflow::linkWithReport(const std::vector<elf::ObjectFile> &objects,
     });
     linker::LinkStats stats;
     linker::Executable exe = linker::link(prepared, opts, &stats);
-    if (!phase.empty())
-        reports_[phase] = makeLinkReport(phase, objects, stats,
+    if (!phase.empty()) {
+        std::vector<LinkInput> inputs;
+        inputs.reserve(objects.size());
+        for (const auto &obj : objects)
+            inputs.push_back({obj.name, obj.sizeInBytes()});
+        reports_[phase] = makeLinkReport(phase, inputs, stats,
                                          cached_names);
+    }
     return exe;
 }
 
@@ -734,6 +739,8 @@ Workflow::runRelinkGraph(RelinkStage target)
         return;
 
     sched::TaskGraph graph;
+    // Slices of the per-object and per-range fan-outs.
+    const size_t chunks = std::max<size_t>(1, limits_.workers * 2);
 
     // ---- Phase 3: staged profile ingestion + per-function layout --------
     //
@@ -847,6 +854,7 @@ Workflow::runRelinkGraph(RelinkStage target)
     std::vector<sched::TaskId> assembleTask;
     sched::TaskId poLink = sched::kInvalidTask;
     std::vector<linker::PreparedObject> prepared;
+    std::vector<LinkInput> poInputs;
     const linker::Options prepOpts = linkOptions();
     linker::LinkStats poStats;
     std::optional<linker::Executable> kept;
@@ -880,6 +888,7 @@ Workflow::runRelinkGraph(RelinkStage target)
                 graph.addEdge(wpaTasks.apply, task);
 
         prepared.resize(nmod);
+        poInputs.resize(nmod);
         for (size_t i = 0; i < nmod; ++i) {
             assembleTask[i] = graph.add(
                 [&, i] {
@@ -893,12 +902,12 @@ Workflow::runRelinkGraph(RelinkStage target)
                     // whether the object was a cache hit; only symbol
                     // resolution and layout finalization stay on the
                     // link task.
-                    prepared[i] = linker::prepareObject(
-                        cg.batch.objects[i], prepOpts);
+                    const elf::ObjectFile &obj = cg.batch.objects[i];
+                    prepared[i] = linker::prepareObject(obj, prepOpts);
+                    poInputs[i] = {obj.name, obj.sizeInBytes()};
                     graph.setCost(
                         assembleTask[i],
-                        static_cast<double>(
-                            cg.batch.objects[i].sizeInBytes()) *
+                        static_cast<double>(poInputs[i].bytes) *
                             ((cg.isHit[i] ? cost_.fetchCachedSecPerByte
                                        : cost_.fetchFreshSecPerByte) +
                              cost_.linkSecPerByte));
@@ -925,14 +934,31 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(assembleTask[i], poLink);
         if (need_wpa)
             graph.addEdge(wpaTasks.merge, poLink);
+
+        // The link is the last reader of the objects and of their
+        // prepared forms (every codegen commit ran before it).
+        for (size_t c = 0; c < chunks; ++c) {
+            sched::TaskId release = graph.add(
+                [&, c] {
+                    for (size_t i = c * nmod / chunks;
+                         i < (c + 1) * nmod / chunks; ++i) {
+                        prepared[i] = {};
+                        cg.batch.objects[i] = {};
+                    }
+                },
+                {"release.objects#" + std::to_string(c), "phase4.link",
+                 0.0});
+            graph.addEdge(poLink, release);
+        }
     }
 
     // ---- Phase 5: per-range verification --------------------------------
     std::optional<analysis::VerifyOptions> vopts;
     std::unique_ptr<analysis::ExecutableVerifier> verifier;
     std::optional<analysis::VerifyReport> vrep;
+    analysis::VerifyReport directivesRep;
     analysis::VerifyReport flowRep;
-    const size_t chunks = std::max<size_t>(1, limits_.workers * 2);
+    sched::TaskId lintTask = sched::kInvalidTask;
     std::vector<sched::TaskId> decodeTask;
     std::vector<sched::TaskId> checkTask;
     std::vector<sched::TaskId> addrMapTask;
@@ -1030,13 +1056,41 @@ Workflow::runRelinkGraph(RelinkStage target)
             graph.addEdge(addrMapTask[c], finishTask);
         }
 
+        // Every check reads every decoded range; finish reads none.
+        for (size_t c = 0; c < chunks; ++c) {
+            sched::TaskId release = graph.add(
+                [&, c] {
+                    size_t nr = verifier->rangeCount();
+                    for (size_t r = c * nr / chunks;
+                         r < (c + 1) * nr / chunks; ++r)
+                        verifier->releaseRange(r);
+                },
+                {"release.ranges#" + std::to_string(c), "phase5.verify",
+                 0.0});
+            for (size_t d = 0; d < chunks; ++d) {
+                graph.addEdge(checkTask[d], release);
+                graph.addEdge(addrMapTask[d], release);
+            }
+        }
+
+        // PV013/PV014 lint the applied directives against the metadata
+        // binary's blocks.
+        sched::TaskId lintDirectivesTask = graph.add(
+            [&] {
+                directivesRep = analysis::lintDirectives(
+                    wpa_->ccProf, wpa_->ldProf, pm, *vopts);
+            },
+            {"lint.directives", "phase5.verify", 0.0});
+        if (need_wpa)
+            graph.addEdge(wpaTasks.merge, lintDirectivesTask);
+
         // PV016 lints the DCFG the WPA applied: this graph's, right after
         // dcfg.apply, or the one a staged wpa() kept.  An injected DCFG
         // is not linted: the fleet pairs it with an identity-stamp
         // profile, whose own DCFG is empty, and linting the injected one
         // would reject fleet relinks (measured in test_analysis.cc,
         // InjectedDcfgIsNotLinted).
-        sched::TaskId lintTask = graph.add(
+        lintTask = graph.add(
             [&] {
                 if (lint_flow)
                     flowRep = analysis::lintProfileFlow(
@@ -1046,6 +1100,27 @@ Workflow::runRelinkGraph(RelinkStage target)
             {"lint.flow", "phase5.verify", 0.0});
         if (need_wpa)
             graph.addEdge(wpaTasks.apply, lintTask);
+    }
+
+    // The pipeline (and dcfgIndex, whose keys view its DCFG) dies after
+    // its last readers: the WPA merge, every codegen task's directive
+    // lookup and the flow lint.  A staged wpa() keeps its DCFG for the
+    // verify graph's lint.
+    if (need_wpa) {
+        sched::TaskId release = graph.add(
+            [&] {
+                if (!need_verify && lint_flow)
+                    flowDcfg_ = pipe->releaseDcfg();
+                dcfgIndex = {};
+                specs = {};
+                pipe.reset();
+            },
+            {"release.wpa", "phase3.wpa", 0.0});
+        graph.addEdge(wpaTasks.merge, release);
+        for (sched::TaskId task : cg.tasks)
+            graph.addEdge(task, release);
+        if (need_verify)
+            graph.addEdge(lintTask, release);
     }
 
     // ---- Execute --------------------------------------------------------
@@ -1065,12 +1140,8 @@ Workflow::runRelinkGraph(RelinkStage target)
         reports_["relink.graph"] = std::move(report);
     }
 
-    if (need_wpa) {
+    if (need_wpa)
         recordWpaReport();
-        // A staged wpa() keeps its DCFG for the verify graph's lint.
-        if (!need_verify && lint_flow)
-            flowDcfg_ = pipe->releaseDcfg();
-    }
 
     if (need_link) {
         CompileBatch batch = finishCodegenStage(cg);
@@ -1081,14 +1152,13 @@ Workflow::runRelinkGraph(RelinkStage target)
         propellerBinary_ = linker::stripAddrMaps(*kept, &poStats);
         propellerBinary_->name = config_.name + ".po";
         reports_["phase4.link"] = makeLinkReport(
-            "phase4.link", batch.objects, poStats, batch.cachedNames);
+            "phase4.link", poInputs, poStats, batch.cachedNames);
         verifiedBinary_ = std::move(kept);
     }
 
     if (need_verify) {
         analysis::VerifyReport rep = std::move(*vrep);
-        rep.merge(analysis::lintDirectives(wpa_->ccProf, wpa_->ldProf,
-                                           pm, *vopts));
+        rep.merge(directivesRep);
         rep.merge(flowRep);
         flowDcfg_.reset();
         recordVerifyReport("phase5.verify", rep);

@@ -480,10 +480,19 @@ class Workflow
     void recordCodegenReport(const std::string &phase,
                              const CompileBatch &batch);
 
-    /** The link-phase report (one action: fetch + link every input). */
+    /** What the link report reads of one input object. */
+    struct LinkInput
+    {
+        std::string name;
+        uint64_t bytes = 0; ///< ObjectFile::sizeInBytes().
+    };
+
+    /**
+     * The link-phase report (one action: fetch + link every input,
+     * summed in @p inputs order).
+     */
     PhaseReport makeLinkReport(
-        const std::string &phase,
-        const std::vector<elf::ObjectFile> &objects,
+        const std::string &phase, const std::vector<LinkInput> &inputs,
         const linker::LinkStats &stats,
         const std::vector<std::string> &cached_names) const;
 
@@ -512,6 +521,8 @@ class Workflow
      * stage up to @p target (WPA layout fan-out, per-module codegen,
      * link assembly, per-range verification), then record the classic
      * per-phase PhaseReports plus "relink.graph" and the ScheduleReport.
+     * Each large intermediate is freed by a zero-cost task of the graph
+     * after its last reader, not by the coordinator afterwards.
      */
     void runRelinkGraph(RelinkStage target);
     core::LayoutOptions defaultLayoutOptions() const;

@@ -1,41 +1,13 @@
 #include "propeller/addr_map_index.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <numeric>
 
 namespace propeller::core {
 
 namespace {
 
-/**
- * True if the function's combined block list (across all of its maps) is
- * internally consistent and fits the text image.
- */
-bool
-mapIsSane(const std::vector<const linker::ExecBlock *> &blocks,
-          uint64_t text_start, uint64_t text_end)
-{
-    std::unordered_set<uint32_t> ids;
-    std::vector<std::pair<uint64_t, uint64_t>> extents;
-    for (const auto *block : blocks) {
-        if (!ids.insert(block->bbId).second)
-            return false; // Duplicate block id.
-        uint64_t end = block->address + block->size;
-        if (block->address < text_start || end > text_end ||
-            end < block->address)
-            return false; // Outside the text image (or size wraps).
-        if (block->size > 0)
-            extents.emplace_back(block->address, end);
-    }
-    std::sort(extents.begin(), extents.end());
-    for (size_t i = 1; i < extents.size(); ++i) {
-        if (extents[i - 1].second > extents[i].first)
-            return false; // Overlapping blocks.
-    }
-    return true;
-}
+constexpr uint32_t kQuarantined = UINT32_MAX;
 
 } // namespace
 
@@ -54,73 +26,144 @@ AddrMapIndex::toRef(const Interval &iv)
 
 AddrMapIndex::AddrMapIndex(const linker::Executable &exe)
 {
-    // Sanitation pass: group blocks per function (a function may carry
-    // several maps) and quarantine inconsistent ones before indexing.
-    std::unordered_map<std::string, std::vector<const linker::ExecBlock *>>
-        blocks_of;
-    for (const auto &map : exe.bbAddrMap) {
-        auto &blocks = blocks_of[map.function];
-        for (const auto &block : map.blocks)
-            blocks.push_back(&block);
-    }
-    std::set<std::string> bad;
-    uint64_t text_start = exe.textBase;
-    uint64_t text_end = exe.textBase + exe.text.size();
-    for (const auto &[name, blocks] : blocks_of) {
-        if (!mapIsSane(blocks, text_start, text_end))
-            bad.insert(name);
-    }
-    quarantined_.assign(bad.begin(), bad.end());
+    const std::vector<linker::ExecFuncMap> &maps = exe.bbAddrMap;
+    const uint32_t nmaps = static_cast<uint32_t>(maps.size());
 
-    std::unordered_map<std::string, uint32_t> func_index;
-    for (const auto &map : exe.bbAddrMap) {
-        if (bad.count(map.function))
+    // Group the maps by function (a function may carry several), in
+    // first-appearance order, then list each group's maps in map order.
+    std::unordered_map<std::string_view, uint32_t> group_of;
+    group_of.reserve(nmaps);
+    std::vector<uint32_t> map_group(nmaps);
+    uint32_t ngroups = 0;
+    for (uint32_t m = 0; m < nmaps; ++m) {
+        auto [it, inserted] = group_of.emplace(maps[m].function, ngroups);
+        ngroups += inserted ? 1 : 0;
+        map_group[m] = it->second;
+    }
+    std::vector<uint32_t> group_begin(ngroups + 1, 0);
+    for (uint32_t g : map_group)
+        ++group_begin[g + 1];
+    std::partial_sum(group_begin.begin(), group_begin.end(),
+                     group_begin.begin());
+    std::vector<uint32_t> group_maps(nmaps);
+    {
+        std::vector<uint32_t> cursor(group_begin.begin(),
+                                     group_begin.end() - 1);
+        for (uint32_t m = 0; m < nmaps; ++m)
+            group_maps[cursor[map_group[m]]++] = m;
+    }
+
+    // Sanitation: a function is indexed only if its combined block list
+    // fits the text image and has neither duplicate ids nor overlapping
+    // (nonzero-size) blocks.  Sane functions take indices in group order
+    // and their id-sorted blocks fill blockIds_ and the successor table.
+    const uint64_t text_start = exe.textBase;
+    const uint64_t text_end = exe.textBase + exe.text.size();
+    std::vector<std::pair<uint32_t, const linker::ExecBlock *>> ids;
+    std::vector<std::pair<uint64_t, uint64_t>> extents;
+    std::vector<uint32_t> func_of_group(ngroups, kQuarantined);
+    blockBegin_.push_back(0);
+    succBegin_.push_back(0);
+    for (uint32_t g = 0; g < ngroups; ++g) {
+        ids.clear();
+        extents.clear();
+        bool sane = true;
+        for (uint32_t k = group_begin[g]; sane && k < group_begin[g + 1];
+             ++k) {
+            for (const auto &block : maps[group_maps[k]].blocks) {
+                uint64_t end = block.address + block.size;
+                if (block.address < text_start || end > text_end ||
+                    end < block.address) {
+                    sane = false; // Outside the text image (or wraps).
+                    break;
+                }
+                ids.emplace_back(block.bbId, &block);
+                if (block.size > 0)
+                    extents.emplace_back(block.address, end);
+            }
+        }
+        if (sane) {
+            std::sort(ids.begin(), ids.end(),
+                      [](const auto &a, const auto &b) {
+                          return a.first < b.first;
+                      });
+            sane = std::adjacent_find(ids.begin(), ids.end(),
+                                      [](const auto &a, const auto &b) {
+                                          return a.first == b.first;
+                                      }) == ids.end(); // Duplicate id.
+        }
+        if (sane) {
+            std::sort(extents.begin(), extents.end());
+            for (size_t i = 1; sane && i < extents.size(); ++i)
+                sane = extents[i - 1].second <= extents[i].first;
+        }
+        const linker::ExecFuncMap &first = maps[group_maps[group_begin[g]]];
+        if (!sane) {
+            quarantined_.push_back(first.function);
             continue;
-        auto [it, inserted] = func_index.emplace(
-            map.function, static_cast<uint32_t>(functionNames_.size()));
-        if (inserted) {
-            functionNames_.push_back(map.function);
-            entryBlocks_.push_back(0);
-            functionHashes_.push_back(map.functionHash);
-            funcSuccs_.emplace_back();
         }
-        for (const auto &block : map.blocks) {
+        func_of_group[g] = static_cast<uint32_t>(functionNames_.size());
+        functionNames_.push_back(first.function);
+        functionHashes_.push_back(first.functionHash);
+        for (const auto &[id, block] : ids) {
+            blockIds_.push_back(id);
+            succs_.insert(succs_.end(), block->succs.begin(),
+                          block->succs.end());
+            succBegin_.push_back(static_cast<uint32_t>(succs_.size()));
+        }
+        blockBegin_.push_back(static_cast<uint32_t>(blockIds_.size()));
+    }
+    std::sort(quarantined_.begin(), quarantined_.end());
+    functionIndex_.reserve(functionNames_.size());
+    for (uint32_t f = 0; f < functionNames_.size(); ++f)
+        functionIndex_.emplace(functionNames_[f], f);
+
+    intervals_.reserve(blockIds_.size());
+    for (uint32_t m = 0; m < nmaps; ++m) {
+        const uint32_t f = func_of_group[map_group[m]];
+        if (f == kQuarantined)
+            continue;
+        for (const auto &block : maps[m].blocks)
             intervals_.push_back({block.address, block.address + block.size,
-                                  it->second, block.bbId, block.flags,
-                                  block.hash});
-            if (!block.succs.empty())
-                funcSuccs_[it->second].emplace(block.bbId, block.succs);
-        }
+                                  f, block.bbId, block.flags, block.hash});
     }
     // Stable sort: zero-size blocks (fall-through-only blocks whose
     // encoding is empty) share their successor's address and must keep
     // their layout order so range walks traverse them deterministically.
-    std::stable_sort(intervals_.begin(), intervals_.end(),
-                     [](const Interval &a, const Interval &b) {
-                         return a.start < b.start;
-                     });
+    auto by_start = [](const Interval &a, const Interval &b) {
+        return a.start < b.start;
+    };
+    if (!std::is_sorted(intervals_.begin(), intervals_.end(), by_start))
+        std::stable_sort(intervals_.begin(), intervals_.end(), by_start);
 
-    funcIntervals_.resize(functionNames_.size());
-    for (uint32_t i = 0; i < intervals_.size(); ++i)
-        funcIntervals_[intervals_[i].funcIndex].push_back(i);
+    funcIntervals_.resize(intervals_.size());
+    {
+        std::vector<uint32_t> cursor(blockBegin_.begin(),
+                                     blockBegin_.end() - 1);
+        for (uint32_t i = 0; i < intervals_.size(); ++i)
+            funcIntervals_[cursor[intervals_[i].funcIndex]++] = i;
+    }
 
     // The entry block of each function sits at its primary symbol address
     // (the primary cluster begins with the entry block; a landing-pad nop
     // prefix never applies to it).  The entry block may have an empty
     // encoding (a lone fall-through branch), so take the *first* block in
     // layout order at that address rather than the containing interval.
+    entryBlocks_.assign(functionNames_.size(), 0);
     for (const auto &sym : exe.symbols) {
         if (!sym.isPrimary)
             continue;
-        auto it = func_index.find(sym.parentFunction);
-        if (it == func_index.end())
+        int f = findFunction(sym.parentFunction);
+        if (f < 0)
             continue;
-        for (uint32_t idx : funcIntervals_[it->second]) {
-            if (intervals_[idx].start == sym.start) {
-                entryBlocks_[it->second] = intervals_[idx].bbId;
-                break;
-            }
-        }
+        auto first = funcIntervals_.begin() + blockBegin_[f];
+        auto last = funcIntervals_.begin() + blockBegin_[f + 1];
+        auto it = std::lower_bound(first, last, sym.start,
+                                   [this](uint32_t idx, uint64_t addr) {
+                                       return intervals_[idx].start < addr;
+                                   });
+        if (it != last && intervals_[*it].start == sym.start)
+            entryBlocks_[f] = intervals_[*it].bbId;
     }
 }
 
@@ -157,8 +200,10 @@ std::vector<BlockRef>
 AddrMapIndex::blocksOf(uint32_t func_index) const
 {
     std::vector<BlockRef> blocks;
-    blocks.reserve(funcIntervals_[func_index].size());
-    for (uint32_t i : funcIntervals_[func_index]) {
+    blocks.reserve(blockBegin_[func_index + 1] - blockBegin_[func_index]);
+    for (uint32_t k = blockBegin_[func_index];
+         k < blockBegin_[func_index + 1]; ++k) {
+        const uint32_t i = funcIntervals_[k];
         BlockRef ref = toRef(intervals_[i]);
         ref.intervalIndex = i;
         blocks.push_back(ref);
@@ -167,28 +212,30 @@ AddrMapIndex::blocksOf(uint32_t func_index) const
 }
 
 int
-AddrMapIndex::findFunction(const std::string &name) const
+AddrMapIndex::findFunction(std::string_view name) const
 {
-    for (size_t i = 0; i < functionNames_.size(); ++i) {
-        if (functionNames_[i] == name)
-            return static_cast<int>(i);
-    }
-    return -1;
+    auto it = functionIndex_.find(name);
+    return it == functionIndex_.end() ? -1 : static_cast<int>(it->second);
 }
 
-const std::vector<uint32_t> &
+std::span<const uint32_t>
 AddrMapIndex::successors(uint32_t func_index, uint32_t bb_id) const
 {
-    static const std::vector<uint32_t> kEmpty;
-    const auto &succs = funcSuccs_[func_index];
-    auto it = succs.find(bb_id);
-    return it != succs.end() ? it->second : kEmpty;
+    auto first = blockIds_.begin() + blockBegin_[func_index];
+    auto last = blockIds_.begin() + blockBegin_[func_index + 1];
+    auto it = std::lower_bound(first, last, bb_id);
+    if (it == last || *it != bb_id)
+        return {};
+    const size_t k = it - blockIds_.begin();
+    return {succs_.data() + succBegin_[k], succs_.data() + succBegin_[k + 1]};
 }
 
 std::optional<BlockRef>
 AddrMapIndex::block(uint32_t func_index, uint32_t bb_id) const
 {
-    for (uint32_t i : funcIntervals_[func_index]) {
+    for (uint32_t k = blockBegin_[func_index];
+         k < blockBegin_[func_index + 1]; ++k) {
+        const uint32_t i = funcIntervals_[k];
         if (intervals_[i].bbId == bb_id) {
             BlockRef ref = toRef(intervals_[i]);
             ref.intervalIndex = i;

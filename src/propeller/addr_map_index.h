@@ -13,7 +13,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,11 +50,19 @@ struct BlockRef
  * (quarantined), so its samples simply go unmapped and the function
  * keeps its baseline layout, instead of feeding the layout pass garbage
  * intervals.  Honest metadata is indexed unchanged.
+ *
+ * The per-function tables are flat CSR arrays: function f owns slots
+ * [blockBegin_[f], blockBegin_[f + 1]) of funcIntervals_ (its intervals
+ * in address order) and of blockIds_ (its block ids, ascending), and
+ * sorted block k owns succs_[succBegin_[k], succBegin_[k + 1]).
  */
 class AddrMapIndex
 {
   public:
     explicit AddrMapIndex(const linker::Executable &exe);
+    // The name table views functionNames_' strings.
+    AddrMapIndex(const AddrMapIndex &) = delete;
+    AddrMapIndex &operator=(const AddrMapIndex &) = delete;
 
     /** Functions dropped by construction-time sanitation, sorted. */
     const std::vector<std::string> &quarantined() const
@@ -77,8 +87,11 @@ class AddrMapIndex
         return functionNames_;
     }
 
-    /** Find a function index by name; -1 if the binary has no such map. */
-    int findFunction(const std::string &name) const;
+    /**
+     * Find a function index by name; -1 if the binary has no such map
+     * or it was quarantined.
+     */
+    int findFunction(std::string_view name) const;
 
     /** Whole-function fingerprint (0 when the binary has v1 metadata). */
     uint64_t functionHash(uint32_t func_index) const
@@ -90,8 +103,8 @@ class AddrMapIndex
      * Static successor block ids of (function, block), from the v2
      * address map; empty for v1 metadata or unknown blocks.
      */
-    const std::vector<uint32_t> &successors(uint32_t func_index,
-                                            uint32_t bb_id) const;
+    std::span<const uint32_t> successors(uint32_t func_index,
+                                         uint32_t bb_id) const;
 
     /** Entry block id of function @p func_index (lowest block address of
      *  the primary range is not necessarily the entry; this is the block
@@ -126,14 +139,16 @@ class AddrMapIndex
 
     std::vector<Interval> intervals_; ///< Sorted by start address.
     std::vector<std::string> functionNames_;
+    /** Name -> function index; keys view functionNames_. */
+    std::unordered_map<std::string_view, uint32_t> functionIndex_;
     std::vector<std::string> quarantined_;
     std::vector<uint32_t> entryBlocks_;
     std::vector<uint64_t> functionHashes_;
-    /** Per function: interval indices in address order. */
-    std::vector<std::vector<uint32_t>> funcIntervals_;
-    /** Per function: block id -> static successor ids (v2 metadata). */
-    std::vector<std::unordered_map<uint32_t, std::vector<uint32_t>>>
-        funcSuccs_;
+    std::vector<uint32_t> blockBegin_;    ///< Per function, plus an end.
+    std::vector<uint32_t> funcIntervals_; ///< Interval indices.
+    std::vector<uint32_t> blockIds_;      ///< Ascending per function.
+    std::vector<uint32_t> succBegin_;     ///< Per sorted block, plus an end.
+    std::vector<uint32_t> succs_;         ///< Static successor ids (v2).
 };
 
 } // namespace propeller::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "propeller/addr_map_index.h"
 #include "support/hash.h"
@@ -35,7 +34,6 @@ struct WpaPipeline::Impl
     std::vector<profile::AggregatedProfile> aggSlots;
     std::optional<profile::AggregatedProfile> agg;
     std::optional<DcfgMapper> mapper;
-    std::unordered_map<std::string, uint32_t> funcIndexByName;
 
     // Injected DCFG (fleet service seam): consumed by applyDcfg() in
     // place of the mapper's output.
@@ -99,9 +97,6 @@ struct WpaPipeline::Impl
         result.stats.quarantined =
             static_cast<uint32_t>(index->quarantined().size());
         local.charge(result.stats.indexFootprint);
-        for (size_t i = 0; i < index->functionNames().size(); ++i)
-            funcIndexByName.emplace(index->functionNames()[i],
-                                    static_cast<uint32_t>(i));
     }
 
     void
@@ -127,27 +122,20 @@ struct WpaPipeline::Impl
             layout.emplace(*dcfg, *index, opts);
     }
 
-    /** The function's index in the address map, or -1 if absent. */
-    int
-    addrMapIndexOf(const FunctionDcfg &fn) const
-    {
-        auto it = funcIndexByName.find(fn.function);
-        return it == funcIndexByName.end() ? -1
-                                           : static_cast<int>(it->second);
-    }
-
     uint64_t
     layoutFingerprint(size_t f) const
     {
         const FunctionDcfg &fn = dcfg->functions[f];
-        return layoutMemoFingerprint(fn, *index, addrMapIndexOf(fn));
+        return layoutMemoFingerprint(fn, *index,
+                                     index->findFunction(fn.function));
     }
 
     uint64_t
     layoutInputDigest(size_t f) const
     {
         const FunctionDcfg &fn = dcfg->functions[f];
-        return core::layoutInputDigest(fn, *index, addrMapIndexOf(fn));
+        return core::layoutInputDigest(fn, *index,
+                                       index->findFunction(fn.function));
     }
 
     /** wpa.merge: the per-function slots and the global order, merged
