@@ -9,6 +9,7 @@
 
 #include "bolt/disassembler.h"
 #include "elf/bb_addr_map.h"
+#include "sched/sched.h"
 #include "support/hash.h"
 
 namespace propeller::analysis {
@@ -308,22 +309,67 @@ ExeVerifier::checkControlFlowRange(const RangeInfo &info,
     }
 }
 
+/**
+ * Sort @p v, whose elements are pairwise distinct, on up to @p threads
+ * threads: contiguous runs sort in parallel, then adjacent runs merge
+ * pairwise.  Distinct elements have exactly one sorted order, so the
+ * result is std::sort's.
+ */
+template <typename T>
+void
+sortDistinct(std::vector<T> &v, unsigned threads)
+{
+    const size_t runs = std::min<size_t>(
+        v.size() / 4096 + 1, sched::resolveThreadCount(threads));
+    auto bound = [&](size_t r) {
+        return v.begin() +
+               static_cast<std::ptrdiff_t>(std::min(r, runs) * v.size() /
+                                           runs);
+    };
+    sched::parallelFor(threads, runs, [&](size_t r) {
+        std::sort(bound(r), bound(r + 1));
+    });
+    for (size_t width = 1; width < runs; width *= 2) {
+        sched::parallelFor(
+            threads, (runs + 2 * width - 1) / (2 * width), [&](size_t p) {
+                std::inplace_merge(bound(2 * p * width),
+                                   bound((2 * p + 1) * width),
+                                   bound((2 * p + 2) * width));
+            });
+    }
+}
+
 void
 ExeVerifier::indexAddrMaps()
 {
     for (size_t r = 0; r < ranges.size(); ++r)
         if (ranges[r].valid)
             fnRanges.emplace_back(ranges[r].sym->parentFunction, r);
-    std::sort(fnRanges.begin(), fnRanges.end());
+    sortDistinct(fnRanges, opts.threads);
 
-    for (size_t m = 0; m < exe.bbAddrMap.size(); ++m) {
-        const auto &blocks = exe.bbAddrMap[m].blocks;
-        for (size_t b = 0; b < blocks.size(); ++b) {
-            if (blocks[b].size > 0)
-                blockAt.emplace_back(blocks[b].address, m, b);
-        }
+    // Every map's sized blocks fill their own slice, maps in parallel.
+    const size_t nm = exe.bbAddrMap.size();
+    std::vector<size_t> first(nm + 1, 0);
+    for (size_t m = 0; m < nm; ++m) {
+        size_t sized = 0;
+        for (const auto &block : exe.bbAddrMap[m].blocks)
+            sized += block.size > 0;
+        first[m + 1] = first[m] + sized;
     }
-    std::sort(blockAt.begin(), blockAt.end());
+    blockAt.resize(first[nm]);
+    sched::parallelForChunks(opts.threads, nm, [&](size_t begin,
+                                                   size_t end) {
+        for (size_t m = begin; m < end; ++m) {
+            const auto &blocks = exe.bbAddrMap[m].blocks;
+            size_t at = first[m];
+            for (size_t b = 0; b < blocks.size(); ++b)
+                if (blocks[b].size > 0)
+                    blockAt[at++] = {blocks[b].address,
+                                     static_cast<uint32_t>(m),
+                                     static_cast<uint32_t>(b)};
+        }
+    });
+    sortDistinct(blockAt, opts.threads);
 }
 
 void

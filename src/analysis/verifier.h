@@ -61,6 +61,13 @@ struct VerifyOptions
 
     /** ...when the larger side is at least this heavy. */
     uint64_t flowMinWeight = 256;
+
+    /**
+     * Threads for building the address-map block index
+     * (sched::parallelFor; 0 = hardware concurrency).  The report is the
+     * same at any count.
+     */
+    unsigned threads = 1;
 };
 
 /** Outcome of one verification pass. */

@@ -448,6 +448,7 @@ Workflow::linkOptions()
     opts.outputName = config_.name;
     opts.entrySymbol = program().entryFunction;
     opts.hugePagesText = config_.hugePages;
+    opts.threads = config_.jobs;
     return opts;
 }
 
@@ -965,6 +966,7 @@ Workflow::runRelinkGraph(RelinkStage target)
 
     if (need_verify) {
         vopts.emplace();
+        vopts->threads = config_.jobs;
         // This graph's link, or the one a staged propellerBinary() kept.
         const std::optional<linker::Executable> &vexe =
             need_link ? kept : verifiedBinary_;

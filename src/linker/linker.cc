@@ -1,10 +1,14 @@
 #include "linker/linker.h"
 
 #include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string_view>
 
 #include "isa/isa.h"
+#include "sched/sched.h"
 #include "support/check.h"
 #include "support/hash.h"
 
@@ -398,19 +402,26 @@ struct FuncFp
     std::vector<FpBlock> merged; ///< Owns the blocks of a multi-map function.
 };
 
-} // namespace
-
+/**
+ * linkChecked over prepared objects.  The per-object, per-section and
+ * per-site passes run as chunked parallel loops on opts.threads threads;
+ * the symbol index, function interning, the address prefix and the
+ * identity hash stay serial.  Every parallel pass writes only its own
+ * slots, so the link is the same at any thread count.
+ */
 support::StatusOr<Executable>
-linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
-            LinkStats *stats_out)
+linkPrepared(const std::vector<PreparedObject> &objects, const Options &opts,
+             LinkStats *stats_out)
 {
     LinkStats stats;
     MemoryMeter meter;
+    const unsigned threads = opts.threads;
 
     // ---- Sections, in input order, up to the first gather error ----------
     std::vector<Sect> sects;
     std::vector<uint32_t> sect_base(objects.size(), 0);
     std::vector<uint32_t> block_base(objects.size(), 0);
+    std::vector<uint32_t> site_base(objects.size(), 0);
     uint64_t block_count = 0;
     uint32_t site_count = 0;
     const support::Status *gather_error = nullptr;
@@ -420,6 +431,7 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
         stats.inputBytes += p.inputBytes;
         sect_base[o] = static_cast<uint32_t>(sects.size());
         block_base[o] = static_cast<uint32_t>(block_count);
+        site_base[o] = site_count;
         for (const PreparedSect &ps : p.sects) {
             Sect sect;
             sect.prep = &ps;
@@ -475,13 +487,15 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
 
     // Resolve every site's target now that all symbols are known, and
     // validate block-level targets up front so the layout loop below
-    // can index without re-checking.
-    std::vector<Site> sites;
-    sites.reserve(site_count);
-    for (size_t o = 0; o < linked_objects; ++o) {
+    // can index without re-checking.  Objects resolve in parallel; each
+    // stops at its first error, and the first in input order wins.
+    std::vector<Site> sites(site_count);
+    std::vector<support::Status> site_errors(linked_objects);
+    auto resolveSites = [&](size_t o) -> support::Status {
         const PreparedObject::Parts &p = objects[o].parts();
+        Site *out = sites.data() + site_base[o];
         for (const PreparedSite &ps : p.sites) {
-            Site site;
+            Site &site = *out++;
             site.src = ps.src;
             site.sect = sect_base[o] + ps.sect;
             int32_t slot = ps.targetSlot;
@@ -525,9 +539,15 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
                 static_cast<uint8_t>(isa::Instruction::sizeOf(op));
             site.shortSize = static_cast<uint8_t>(
                 isa::Instruction::sizeOf(site.shortOp));
-            sites.push_back(site);
         }
-    }
+        return support::okStatus();
+    };
+    sched::parallelFor(threads, linked_objects, [&](size_t o) {
+        site_errors[o] = resolveSites(o);
+    });
+    for (const support::Status &error : site_errors)
+        if (!error.ok())
+            return error;
 
     // Parent functions, interned: the function id of every section.
     std::vector<NameEntry> functions;
@@ -580,27 +600,36 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
     std::vector<uint32_t> order;
     order.reserve(sects.size());
 
+    // A section's size and the offsets inside it do not depend on where
+    // it lands, so sections size in parallel; a serial prefix over the
+    // layout order then places them.  Returns the image end.
     auto computeLayout = [&]() {
+        sched::parallelForChunks(threads, sects.size(),
+                                 [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+                Sect &sect = sects[i];
+                uint64_t off = 0;
+                uint64_t *block_off = block_offsets.data() + sect.blockBase;
+                for (uint32_t c = sect.prep->chunkBegin;
+                     c < sect.prep->chunkEnd; ++c) {
+                    const Chunk &chunk = sect.chunks[c];
+                    if (chunk.startsBlock)
+                        *block_off++ = off;
+                    off += chunk.size;
+                    if (chunk.site >= 0) {
+                        Site &site = sites[sect.siteBase + chunk.site];
+                        site.offset = off;
+                        off += site.encodedSize();
+                    }
+                }
+                sect.size = off;
+            }
+        });
         uint64_t cursor = base;
         for (uint32_t idx : order) {
             Sect &sect = sects[idx];
             sect.addr = alignUp(cursor, sect.prep->alignment);
-            uint64_t off = 0;
-            uint64_t *block_off = block_offsets.data() + sect.blockBase;
-            for (uint32_t c = sect.prep->chunkBegin;
-                 c < sect.prep->chunkEnd; ++c) {
-                const Chunk &chunk = sect.chunks[c];
-                if (chunk.startsBlock)
-                    *block_off++ = off;
-                off += chunk.size;
-                if (chunk.site >= 0) {
-                    Site &site = sites[sect.siteBase + chunk.site];
-                    site.offset = off;
-                    off += site.encodedSize();
-                }
-            }
-            sect.size = off;
-            cursor = sect.addr + off;
+            cursor = sect.addr + sect.size;
         }
         return cursor;
     };
@@ -661,39 +690,50 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
         while (changed && iter < kMaxIterations) {
             ++iter;
             computeLayout();
-            changed = false;
-            for (uint32_t b : branches) {
-                Site &site = sites[b];
-                uint64_t site_start = sects[site.sect].addr + site.offset;
-                uint64_t target = targetAddress(site);
+            // Each site's decision reads only this round's layout and its
+            // own state, so the order the sites decide in is immaterial.
+            std::atomic<bool> moved{false};
+            sched::parallelForChunks(threads, branches.size(),
+                                     [&](size_t begin, size_t end) {
+                bool any = false;
+                for (size_t k = begin; k < end; ++k) {
+                    Site &site = sites[branches[k]];
+                    uint64_t site_start =
+                        sects[site.sect].addr + site.offset;
+                    uint64_t target = targetAddress(site);
 
-                SiteState desired = SiteState::Long;
-                if (opts.relax) {
-                    // Fall-through deletion: the jump lands exactly past
-                    // its own encoding, so removing it preserves control
-                    // flow.
-                    if (site.isFallThrough &&
-                        target == site_start + site.encodedSize()) {
-                        desired = SiteState::Deleted;
-                    } else {
-                        int64_t disp = static_cast<int64_t>(target) -
-                                       static_cast<int64_t>(
-                                           site_start + site.shortSize);
-                        desired = isa::fitsRel8(disp) ? SiteState::Short
-                                                      : SiteState::Long;
+                    SiteState desired = SiteState::Long;
+                    if (opts.relax) {
+                        // Fall-through deletion: the jump lands exactly
+                        // past its own encoding, so removing it preserves
+                        // control flow.
+                        if (site.isFallThrough &&
+                            target == site_start + site.encodedSize()) {
+                            desired = SiteState::Deleted;
+                        } else {
+                            int64_t disp = static_cast<int64_t>(target) -
+                                           static_cast<int64_t>(
+                                               site_start + site.shortSize);
+                            desired = isa::fitsRel8(disp)
+                                          ? SiteState::Short
+                                          : SiteState::Long;
+                        }
+                    }
+                    if (desired != site.state) {
+                        // Late iterations only allow growing, which
+                        // guarantees convergence even with
+                        // alignment-induced oscillation.
+                        if (iter > kGrowOnlyAfter &&
+                            desired != SiteState::Long)
+                            continue;
+                        site.state = desired;
+                        any = true;
                     }
                 }
-                if (desired != site.state) {
-                    // Late iterations only allow growing, which
-                    // guarantees convergence even with alignment-induced
-                    // oscillation.
-                    if (iter > kGrowOnlyAfter &&
-                        desired != SiteState::Long)
-                        continue;
-                    site.state = desired;
-                    changed = true;
-                }
-            }
+                if (any)
+                    moved.store(true, std::memory_order_relaxed);
+            });
+            changed = moved.load(std::memory_order_relaxed);
         }
         stats.relaxIterations = static_cast<uint32_t>(iter);
         image_end = computeLayout();
@@ -702,16 +742,24 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
         // forms were verified by fitsRel8 during sizing; near forms
         // (including calls) must fit max_disp.
         std::set<std::string> offenders;
-        for (const auto &site : sites) {
-            if (site.state != SiteState::Long)
-                continue;
-            uint64_t site_start = sects[site.sect].addr + site.offset;
-            int64_t disp = static_cast<int64_t>(targetAddress(site)) -
-                           static_cast<int64_t>(site_start +
-                                                site.encodedSize());
-            if (disp > max_disp || disp < -max_disp - 1)
-                offenders.insert(*sects[site.sect].prep->parentFunction);
-        }
+        std::mutex offenders_mu;
+        sched::parallelForChunks(threads, sites.size(),
+                                 [&](size_t begin, size_t end) {
+            for (size_t k = begin; k < end; ++k) {
+                const Site &site = sites[k];
+                if (site.state != SiteState::Long)
+                    continue;
+                uint64_t site_start = sects[site.sect].addr + site.offset;
+                int64_t disp = static_cast<int64_t>(targetAddress(site)) -
+                               static_cast<int64_t>(site_start +
+                                                    site.encodedSize());
+                if (disp > max_disp || disp < -max_disp - 1) {
+                    std::lock_guard<std::mutex> lock(offenders_mu);
+                    offenders.insert(
+                        *sects[site.sect].prep->parentFunction);
+                }
+            }
+        });
         if (offenders.empty())
             break;
 
@@ -748,46 +796,51 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
                     static_cast<uint8_t>(Opcode::Nop));
     meter.charge(exe.text.size());
 
-    std::vector<uint8_t> encoded;
-    for (uint32_t idx : order) {
-        const Sect &sect = sects[idx];
-        uint64_t pos = sect.addr - base;
-        for (uint32_t c = sect.prep->chunkBegin; c < sect.prep->chunkEnd;
-             ++c) {
-            const Chunk &chunk = sect.chunks[c];
-            std::copy(chunk.bytes->begin(), chunk.bytes->end(),
-                      exe.text.begin() + pos);
-            pos += chunk.size;
-            if (chunk.site < 0)
-                continue;
-            const Site &site = sites[sect.siteBase + chunk.site];
-            if (site.state == SiteState::Deleted)
-                continue;
-            isa::Instruction inst;
-            inst.op = site.state == SiteState::Short ? site.shortOp
-                                                      : site.src->op;
-            inst.flags = site.src->flags;
-            inst.bias = site.src->bias;
-            inst.branchId = site.src->branchId;
-            uint64_t site_start = sect.addr + site.offset;
-            int64_t disp = static_cast<int64_t>(targetAddress(site)) -
-                           static_cast<int64_t>(site_start +
-                                                site.encodedSize());
-            // The overflow scan above guarantees encodability here.
-            PROPELLER_CHECK(disp >= INT32_MIN && disp <= INT32_MAX,
-                            "branch displacement overflow");
-            inst.rel = static_cast<int32_t>(disp);
-            encoded.clear();
-            inst.encode(encoded);
-            PROPELLER_CHECK(encoded.size() == site.encodedSize(),
-                            "encoded size mismatch");
-            std::copy(encoded.begin(), encoded.end(),
-                      exe.text.begin() + pos);
-            pos += encoded.size();
+    // Sections occupy disjoint ranges of the image: they emit in
+    // parallel.
+    sched::parallelForChunks(threads, order.size(),
+                             [&](size_t begin, size_t end) {
+        std::vector<uint8_t> encoded;
+        for (size_t k = begin; k < end; ++k) {
+            const Sect &sect = sects[order[k]];
+            uint64_t pos = sect.addr - base;
+            for (uint32_t c = sect.prep->chunkBegin;
+                 c < sect.prep->chunkEnd; ++c) {
+                const Chunk &chunk = sect.chunks[c];
+                std::copy(chunk.bytes->begin(), chunk.bytes->end(),
+                          exe.text.begin() + pos);
+                pos += chunk.size;
+                if (chunk.site < 0)
+                    continue;
+                const Site &site = sites[sect.siteBase + chunk.site];
+                if (site.state == SiteState::Deleted)
+                    continue;
+                isa::Instruction inst;
+                inst.op = site.state == SiteState::Short ? site.shortOp
+                                                          : site.src->op;
+                inst.flags = site.src->flags;
+                inst.bias = site.src->bias;
+                inst.branchId = site.src->branchId;
+                uint64_t site_start = sect.addr + site.offset;
+                int64_t disp = static_cast<int64_t>(targetAddress(site)) -
+                               static_cast<int64_t>(site_start +
+                                                    site.encodedSize());
+                // The overflow scan above guarantees encodability here.
+                PROPELLER_CHECK(disp >= INT32_MIN && disp <= INT32_MAX,
+                                "branch displacement overflow");
+                inst.rel = static_cast<int32_t>(disp);
+                encoded.clear();
+                inst.encode(encoded);
+                PROPELLER_CHECK(encoded.size() == site.encodedSize(),
+                                "encoded size mismatch");
+                std::copy(encoded.begin(), encoded.end(),
+                          exe.text.begin() + pos);
+                pos += encoded.size();
+            }
+            PROPELLER_CHECK(pos == sect.addr - base + sect.size,
+                            "section emit cursor mismatch");
         }
-        PROPELLER_CHECK(pos == sect.addr - base + sect.size,
-                        "section emit cursor mismatch");
-    }
+    });
 
     // ---- Symbols, BB map, integrity checks ------------------------------
     for (size_t o = 0; o < linked_objects; ++o) {
@@ -830,82 +883,113 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
         }
     }
 
+    // Unwind coverage is re-derived from the *final* layout: the
+    // codegen-time FrameDescriptor::codeLength predates relaxation, so
+    // each FDE's covered range is the post-relaxation section extent.
+    // The FDEs' sections resolve per object in parallel.
+    std::vector<size_t> fde_base(linked_objects + 1, 0);
+    for (size_t o = 0; o < linked_objects; ++o)
+        fde_base[o + 1] =
+            fde_base[o] + objects[o].parts().object->frames.size();
+    std::vector<int64_t> fde_sect(fde_base.back());
+    sched::parallelFor(threads, linked_objects, [&](size_t o) {
+        const auto &frames = objects[o].parts().object->frames;
+        for (size_t j = 0; j < frames.size(); ++j)
+            fde_sect[fde_base[o] + j] = findSect(frames[j].sectionSymbol);
+    });
+    std::vector<char> has_fde(sects.size(), 0);
+    for (int64_t idx : fde_sect)
+        if (idx >= 0)
+            has_fde[idx] = 1;
+
+    // One serial pass in layout order gives every mapped section its
+    // function's map and its first block there, and every covered
+    // section its frame; the outputs are then sized once and filled in
+    // parallel.
     std::vector<int32_t> func_map_index(functions.size(), -1);
     std::vector<ExecFuncMap> func_maps;
-    exe.symbols.reserve(order.size());
-    for (uint32_t idx : order) {
-        const Sect &sect = sects[idx];
+    std::vector<uint32_t> map_sizes;
+    std::vector<int32_t> sect_map(order.size(), -1);
+    std::vector<uint32_t> sect_block(order.size(), 0);
+    std::vector<uint32_t> sect_frame(order.size(), 0);
+    size_t frame_count = 0;
+    for (size_t k = 0; k < order.size(); ++k) {
+        const Sect &sect = sects[order[k]];
         const PreparedSect &ps = *sect.prep;
-        FuncRange range;
-        range.name = *ps.symbol;
-        range.parentFunction = *ps.parentFunction;
-        range.start = sect.addr;
-        range.end = sect.addr + sect.size;
-        range.isPrimary = ps.isPrimary;
-        range.isHandAsm = ps.isHandAsm;
-        exe.symbols.push_back(std::move(range));
-
-        const PreparedObject::Parts &p = objects[sect.object].parts();
-        if (ps.isHandAsm || !p.mapsKept)
+        if (has_fde[order[k]])
+            sect_frame[k] = static_cast<uint32_t>(frame_count++);
+        if (ps.isHandAsm || !objects[sect.object].parts().mapsKept)
             continue;
-
         int32_t &map_index = func_map_index[sect.function];
         if (map_index < 0) {
             map_index = static_cast<int32_t>(func_maps.size());
             func_maps.push_back(ExecFuncMap{*ps.parentFunction, {}});
+            const FuncFp &fp = fp_of[sect.function];
+            if (fp.present)
+                func_maps.back().functionHash = fp.functionHash;
+            map_sizes.push_back(0);
         }
-        ExecFuncMap &map = func_maps[map_index];
+        sect_map[k] = map_index;
+        sect_block[k] = map_sizes[map_index];
+        map_sizes[map_index] += ps.blockEnd - ps.blockBegin;
+    }
+    sched::parallelForChunks(threads, func_maps.size(),
+                             [&](size_t begin, size_t end) {
+        for (size_t m = begin; m < end; ++m)
+            func_maps[m].blocks.resize(map_sizes[m]);
+    });
+    exe.symbols.resize(order.size());
+    exe.frames.resize(frame_count);
 
-        const FuncFp &fp = fp_of[sect.function];
-        if (fp.present)
-            map.functionHash = fp.functionHash;
+    sched::parallelForChunks(threads, order.size(),
+                             [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+            const Sect &sect = sects[order[k]];
+            const PreparedSect &ps = *sect.prep;
+            FuncRange &range = exe.symbols[k];
+            range.name = *ps.symbol;
+            range.parentFunction = *ps.parentFunction;
+            range.start = sect.addr;
+            range.end = sect.addr + sect.size;
+            range.isPrimary = ps.isPrimary;
+            range.isHandAsm = ps.isHandAsm;
+            if (has_fde[order[k]])
+                exe.frames[sect_frame[k]] = FrameCoverage{
+                    *ps.symbol, sect.addr, sect.addr + sect.size};
+            if (sect_map[k] < 0)
+                continue;
 
-        const uint32_t nblocks = ps.blockEnd - ps.blockBegin;
-        const uint64_t *offsets = block_offsets.data() + sect.blockBase;
-        for (uint32_t slot = 0; slot < nblocks; ++slot) {
-            const BlockSlot &bs = p.blocks[ps.blockBegin + slot];
-            ExecBlock block;
-            block.bbId = bs.bbId;
-            block.address = sect.addr + offsets[slot];
-            uint64_t next = slot + 1 < nblocks
-                                ? sect.addr + offsets[slot + 1]
-                                : sect.addr + sect.size;
-            block.size = static_cast<uint32_t>(next - block.address);
-            block.flags = bs.flags;
-            if (fp.present) {
-                const FpBlock *it = std::lower_bound(
-                    fp.begin, fp.end, bs.bbId,
-                    [](const FpBlock &b, uint32_t id) { return b.bbId < id; });
-                if (it != fp.end && it->bbId == bs.bbId) {
-                    block.hash = it->entry->hash;
-                    block.succs = it->entry->succs;
+            const PreparedObject::Parts &p = objects[sect.object].parts();
+            const FuncFp &fp = fp_of[sect.function];
+            ExecBlock *out =
+                func_maps[sect_map[k]].blocks.data() + sect_block[k];
+            const uint32_t nblocks = ps.blockEnd - ps.blockBegin;
+            const uint64_t *offsets = block_offsets.data() + sect.blockBase;
+            for (uint32_t slot = 0; slot < nblocks; ++slot) {
+                const BlockSlot &bs = p.blocks[ps.blockBegin + slot];
+                ExecBlock &block = out[slot];
+                block.bbId = bs.bbId;
+                block.address = sect.addr + offsets[slot];
+                uint64_t next = slot + 1 < nblocks
+                                    ? sect.addr + offsets[slot + 1]
+                                    : sect.addr + sect.size;
+                block.size = static_cast<uint32_t>(next - block.address);
+                block.flags = bs.flags;
+                if (fp.present) {
+                    const FpBlock *it = std::lower_bound(
+                        fp.begin, fp.end, bs.bbId,
+                        [](const FpBlock &b, uint32_t id) {
+                            return b.bbId < id;
+                        });
+                    if (it != fp.end && it->bbId == bs.bbId) {
+                        block.hash = it->entry->hash;
+                        block.succs = it->entry->succs;
+                    }
                 }
             }
-            map.blocks.push_back(std::move(block));
         }
-    }
+    });
     exe.bbAddrMap = std::move(func_maps);
-
-    // Re-derive unwind coverage from the *final* layout: the codegen-time
-    // FrameDescriptor::codeLength predates relaxation, so each FDE's
-    // covered range is the post-relaxation section extent.
-    {
-        std::vector<char> has_fde(sects.size(), 0);
-        for (size_t o = 0; o < linked_objects; ++o) {
-            for (const auto &fde : objects[o].parts().object->frames) {
-                int64_t idx = findSect(fde.sectionSymbol);
-                if (idx >= 0)
-                    has_fde[idx] = 1;
-            }
-        }
-        for (uint32_t idx : order) {
-            if (!has_fde[idx])
-                continue;
-            const Sect &sect = sects[idx];
-            exe.frames.push_back(FrameCoverage{
-                *sect.prep->symbol, sect.addr, sect.addr + sect.size});
-        }
-    }
 
     // Binary identity: the linked text content plus the section layout.
     // Any relink that moves or changes code — new compiler output, a
@@ -931,23 +1015,35 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
     exe.entryAddress = sects[entry].addr;
 
     // Startup integrity checks: hash the primary range of each checked
-    // function as it exists in this image.
-    for (size_t o = 0; o < linked_objects; ++o) {
+    // function as it exists in this image, in parallel; the first
+    // unresolved name in input order fails the link.
+    std::vector<const std::string *> checked;
+    for (size_t o = 0; o < linked_objects; ++o)
         for (const auto &fn :
-             objects[o].parts().object->integrityCheckedFunctions) {
-            int64_t idx = findSect(fn);
-            if (idx < 0)
-                return makeError(ErrorCode::kUnresolved,
-                                 "integrity-checked function " + fn +
-                                     " has no section symbol");
+             objects[o].parts().object->integrityCheckedFunctions)
+            checked.push_back(&fn);
+    exe.integrityChecks.resize(checked.size());
+    std::vector<char> unresolved(checked.size(), 0);
+    sched::parallelForChunks(threads, checked.size(),
+                             [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+            int64_t idx = findSect(*checked[i]);
+            if (idx < 0) {
+                unresolved[i] = 1;
+                continue;
+            }
             const Sect &sect = sects[idx];
-            IntegrityCheck check;
-            check.function = fn;
+            IntegrityCheck &check = exe.integrityChecks[i];
+            check.function = *checked[i];
             check.expectedHash =
                 fnv1a(exe.text.data() + (sect.addr - base), sect.size);
-            exe.integrityChecks.push_back(std::move(check));
         }
-    }
+    });
+    for (size_t i = 0; i < checked.size(); ++i)
+        if (unresolved[i])
+            return makeError(ErrorCode::kUnresolved,
+                             "integrity-checked function " + *checked[i] +
+                                 " has no section symbol");
 
     // ---- Size breakdown (Figure 6) --------------------------------------
     exe.sizes.text = exe.text.size();
@@ -969,6 +1065,21 @@ linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
     if (stats_out)
         *stats_out = stats;
     return exe;
+}
+
+} // namespace
+
+support::StatusOr<Executable>
+linkChecked(const std::vector<PreparedObject> &objects, const Options &opts,
+            LinkStats *stats_out)
+{
+    // One region for the whole link: outside a task graph its loops share
+    // one set of workers instead of each starting threads of its own.
+    std::optional<support::StatusOr<Executable>> result;
+    sched::parallelRegion(opts.threads, [&] {
+        result.emplace(linkPrepared(objects, opts, stats_out));
+    });
+    return std::move(*result);
 }
 
 Executable

@@ -90,6 +90,12 @@ struct Options
      * a broken binary; degrade per function).
      */
     bool quarantineOnOverflow = true;
+
+    /**
+     * Threads for the link's data-parallel passes (sched::parallelFor;
+     * 0 = hardware concurrency).  The link is the same at any count.
+     */
+    unsigned threads = 1;
 };
 
 /** Link-time statistics. */

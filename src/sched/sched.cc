@@ -1,7 +1,8 @@
 /**
  * @file
  * Work-stealing execution (critical-path priority deques, run-time
- * graph growth) and deterministic virtual-time simulation.
+ * graph growth, idle workers helping published loops) and deterministic
+ * virtual-time simulation.
  */
 
 #include "sched/sched.h"
@@ -29,12 +30,52 @@ namespace {
 /** Worker index of the current thread while a run is active. */
 thread_local size_t tlWorker = 0;
 
-/** Set while the current thread is executing a run's worker loop. */
-thread_local bool tlInRun = false;
+/**
+ * The outermost run the current thread is a worker of, while it is one:
+ * a nested run stays inline, and nested loops are published here.
+ */
+thread_local detail::ExecState *tlRun = nullptr;
 
 } // namespace
 
 namespace detail {
+
+/** A parallelFor loop published to a run for its idle workers. */
+struct HelpLoop
+{
+    HelpLoop(const std::function<void(size_t)> &body, size_t count,
+             size_t helpers)
+        : fn(body), n(count), slots(helpers)
+    {
+    }
+
+    const std::function<void(size_t)> &fn;
+    const size_t n;
+    std::atomic<size_t> next{0};
+    /** Helpers that may still join (threads - 1 at the start); guarded
+     *  by ExecState::loopMu. */
+    size_t slots;
+    /** Helpers inside drain(); guarded by ExecState::loopMu. */
+    size_t helping = 0;
+    std::mutex errorMu;
+    std::exception_ptr error;
+
+    /** Claim and run indices until none is left. */
+    void
+    drain()
+    {
+        for (size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMu);
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+    }
+};
 
 /** Shared state for the real (multithreaded) execution. */
 struct ExecState
@@ -60,6 +101,14 @@ struct ExecState
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> stealAttempts{0};
     std::vector<double> idleSec;
+
+    /** Open loops, oldest first (see parallelFor). */
+    std::mutex loopMu;
+    std::vector<HelpLoop *> loops;
+    /** Signalled when a helper leaves a loop. */
+    std::condition_variable loopCv;
+    /** loops.size(), for the idle check without the lock. */
+    std::atomic<size_t> openLoops{0};
 
     ExecState(TaskGraph &g, size_t workers)
         : graph(&g), queues(workers), idleSec(workers, 0.0)
@@ -135,6 +184,64 @@ struct ExecState
         return false;
     }
 
+    /** Open @p loop to this run's idle workers. */
+    void
+    publish(HelpLoop &loop)
+    {
+        {
+            std::lock_guard<std::mutex> lock(loopMu);
+            loops.push_back(&loop);
+            openLoops.fetch_add(1, std::memory_order_release);
+        }
+        idleCv.notify_all();
+    }
+
+    /** Close @p loop to new helpers and wait for the ones inside. */
+    void
+    retire(HelpLoop &loop)
+    {
+        std::unique_lock<std::mutex> lock(loopMu);
+        loops.erase(std::find(loops.begin(), loops.end(), &loop));
+        openLoops.fetch_sub(1, std::memory_order_relaxed);
+        loopCv.wait(lock, [&] { return loop.helping == 0; });
+    }
+
+    /**
+     * Drain the newest open loop that has indices left and a free helper
+     * slot; false if there is none.
+     */
+    bool
+    help()
+    {
+        if (openLoops.load(std::memory_order_acquire) == 0)
+            return false;
+        HelpLoop *loop = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(loopMu);
+            for (auto it = loops.rbegin(); it != loops.rend(); ++it) {
+                if ((*it)->slots > 0 &&
+                    (*it)->next.load(std::memory_order_relaxed) <
+                        (*it)->n) {
+                    loop = *it;
+                    break;
+                }
+            }
+            if (!loop)
+                return false;
+            --loop->slots;
+            ++loop->helping;
+        }
+        loop->drain();
+        {
+            // The loop's owner may return the moment helping drops to 0:
+            // do not touch *loop after this block.
+            std::lock_guard<std::mutex> lock(loopMu);
+            --loop->helping;
+        }
+        loopCv.notify_all();
+        return true;
+    }
+
     /** Release a task created at run time whose dependencies are all
      *  satisfied; runs under the graph lock (called from add). */
     void
@@ -195,6 +302,8 @@ struct ExecState
                 execute(worker, e.second);
                 continue;
             }
+            if (help())
+                continue;
             auto t0 = std::chrono::steady_clock::now();
             {
                 std::unique_lock<std::mutex> lock(idleMu);
@@ -489,11 +598,9 @@ Scheduler::run(TaskGraph &graph)
     }
 
     // Nested runs stay on the calling worker (see SchedulerOptions).
-    unsigned threads = tlInRun ? 1 : resolveThreadCount(opts_.threads);
-    if (!tasks.empty())
-        threads = std::min<unsigned>(
-            threads, static_cast<unsigned>(tasks.size()));
-    threads = std::max(threads, 1u);
+    const bool nested = tlRun != nullptr;
+    const unsigned threads =
+        nested ? 1 : resolveThreadCount(opts_.threads);
 
     ScheduleReport report;
     report.realThreads = threads;
@@ -520,17 +627,18 @@ Scheduler::run(TaskGraph &graph)
     pool.reserve(threads - 1);
     for (unsigned w = 1; w < threads; ++w)
         pool.emplace_back([&state, w] {
-            tlInRun = true;
+            tlRun = &state;
             state.workerLoop(w);
         });
     // The caller is worker 0; a nested run restores the outer run's
     // worker identity when it returns.
     const size_t outerWorker = tlWorker;
-    const bool outerInRun = tlInRun;
-    tlInRun = true;
+    if (!nested)
+        tlRun = &state;
     state.workerLoop(0);
     tlWorker = outerWorker;
-    tlInRun = outerInRun;
+    if (!nested)
+        tlRun = nullptr;
     for (auto &t : pool)
         t.join();
     graph.exec_ = nullptr;
@@ -561,33 +669,36 @@ void
 parallelFor(unsigned threads, size_t n,
             const std::function<void(size_t)> &fn)
 {
-    const size_t drains = std::min<size_t>(resolveThreadCount(threads), n);
-    if (drains <= 1) {
+    const size_t width = std::min<size_t>(resolveThreadCount(threads), n);
+    if (width <= 1) {
         for (size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
-    std::atomic<size_t> next{0};
-    std::mutex errorMu;
-    std::exception_ptr error;
-    TaskGraph graph;
-    for (size_t d = 0; d < drains; ++d) {
-        graph.add([&] {
-            for (size_t i; (i = next.fetch_add(
-                                1, std::memory_order_relaxed)) < n;) {
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errorMu);
-                    if (!error)
-                        error = std::current_exception();
-                }
-            }
-        });
+    if (!tlRun) {
+        parallelRegion(static_cast<unsigned>(width),
+                       [&] { parallelFor(threads, n, fn); });
+        return;
     }
-    Scheduler({static_cast<unsigned>(drains), 1}).run(graph);
-    if (error)
-        std::rethrow_exception(error);
+    detail::ExecState &run = *tlRun;
+    detail::HelpLoop loop(fn, n, width - 1);
+    run.publish(loop);
+    loop.drain();
+    run.retire(loop);
+    if (loop.error)
+        std::rethrow_exception(loop.error);
+}
+
+void
+parallelRegion(unsigned threads, const std::function<void()> &fn)
+{
+    if (tlRun || resolveThreadCount(threads) <= 1) {
+        fn();
+        return;
+    }
+    TaskGraph graph;
+    graph.add([&fn] { fn(); });
+    Scheduler({threads, 1}).run(graph);
 }
 
 bool

@@ -41,6 +41,7 @@
  * order.
  */
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -239,6 +240,8 @@ struct SchedulerOptions
 {
     /**
      * Real execution threads; 0 = hardware concurrency, 1 = inline.
+     * Every thread is a worker even when the graph has fewer tasks: an
+     * idle worker helps the parallelFor loops its run's tasks publish.
      * A run started from inside a running task executes inline on that
      * task's worker: the outer run already owns the thread budget, so
      * nesting never adds threads.
@@ -268,15 +271,51 @@ class Scheduler
 
 /**
  * Run fn(i) once for every i in [0, n) on at most @p threads threads
- * (0 = hardware concurrency): min(threads, n) drain tasks on one
- * TaskGraph claim indices from a shared counter, the caller running one
- * of them. Determinism is the caller's: write results to slot i and
- * merge in index order. Every index runs even if some fn(i) throws; the
- * first exception is rethrown once the loop has drained. With one
- * thread (or n <= 1) the loop runs inline on the caller, in index order.
+ * (0 = hardware concurrency), the caller among them.  Determinism is the
+ * caller's: write results to slot i and merge in index order.  Every
+ * index runs even if some fn(i) throws; the first exception is rethrown
+ * once the loop has drained.  With one thread (or n <= 1) the loop runs
+ * inline on the caller, in index order.
+ *
+ * Called from inside a running task, the loop creates no thread and no
+ * task: it is published to the enclosing run, whose workers claim its
+ * indices whenever they find no task to run (at most threads - 1 of
+ * them at once), while the caller claims indices too and returns once
+ * every claimed index has finished.  Outside a run, the loop is the
+ * only task of a run on min(threads, n) workers (see parallelRegion).
  */
 void parallelFor(unsigned threads, size_t n,
                  const std::function<void(size_t)> &fn);
+
+/**
+ * fn(begin, end) over [0, n) split into contiguous chunks, about four
+ * per thread, run as one parallelFor; a single fn(0, n) on the caller at
+ * one thread.  For passes that write only their own elements, so that
+ * the result does not depend on the split.
+ */
+template <typename Fn>
+void
+parallelForChunks(unsigned threads, size_t n, const Fn &fn)
+{
+    const size_t width = resolveThreadCount(threads);
+    const size_t chunks = width <= 1 ? 1 : std::min(n, width * 4);
+    if (chunks <= 1) {
+        fn(size_t{0}, n);
+        return;
+    }
+    parallelFor(threads, chunks, [&](size_t c) {
+        fn(c * n / chunks, (c + 1) * n / chunks);
+    });
+}
+
+/**
+ * Run @p fn as the only task of a run on @p threads workers (0 =
+ * hardware concurrency), so that the parallelFor loops inside it are
+ * helped by the other workers instead of each starting threads of its
+ * own.  Runs @p fn inline at one thread and inside a running task (whose
+ * run's workers then help).  An exception from @p fn propagates.
+ */
+void parallelRegion(unsigned threads, const std::function<void()> &fn);
 
 /**
  * Commits results in strict sequence order: `submit(seq, fn)` may be

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "build/workflow.h"
 #include "codegen/codegen.h"
@@ -309,46 +308,6 @@ TEST(Linker, DeterministicOutput)
     EXPECT_EQ(a.entryAddress, b.entryAddress);
 }
 
-/** The largest branch displacement magnitude in @p exe's text. */
-int64_t
-longestDisplacement(const Executable &exe)
-{
-    int64_t longest = 0;
-    for (const auto &sym : exe.symbols) {
-        if (sym.isHandAsm)
-            continue;
-        for (uint64_t pc = sym.start; pc < sym.end;) {
-            auto inst = isa::decode(exe.text.data() + (pc - exe.textBase),
-                                    sym.end - pc);
-            if (!inst)
-                break;
-            if (inst->isCondBranch() || inst->isUncondBranch() ||
-                inst->isCall())
-                longest = std::max<int64_t>(
-                    longest, std::abs(static_cast<int64_t>(inst->rel)));
-            pc += inst->size();
-        }
-    }
-    return longest;
-}
-
-/** A text section with a branch to @p target other than itself; "" if none. */
-std::string
-sectionBranchingTo(const std::vector<elf::ObjectFile> &objects,
-                   const std::string &target)
-{
-    for (const auto &obj : objects) {
-        for (const auto &sym : obj.symbols) {
-            if (sym.sectionIndex >= obj.sections.size() || sym.name == target)
-                continue;
-            for (const auto &piece : obj.sections[sym.sectionIndex].pieces)
-                if (piece.site && piece.site->targetSymbol == target)
-                    return sym.name;
-        }
-    }
-    return "";
-}
-
 /**
  * Link @p objects with the maps kept and stripped; the strip of the kept
  * link must equal the stripped link in every field, stats included.
@@ -437,19 +396,8 @@ TEST(Linker, StrippedLinkIsKeptLinkMinusMaps)
                                                tag + " rejected maps");
             EXPECT_EQ(st.addrMapsRejected, 1u) << tag;
 
-            // Quarantine: T is the last section in input order that
-            // another section S branches to.  Listing S first stretches
-            // that branch across nearly the whole image; at input
-            // order's longest displacement S's function is quarantined
-            // back to input order, which links.
-            Executable in_order = link(objects, opts);
-            std::string first;
-            for (size_t k = in_order.symbols.size(); k-- > 0 && first.empty();)
-                first = sectionBranchingTo(objects, in_order.symbols[k].name);
-            ASSERT_FALSE(first.empty()) << tag;
-            Options narrow = opts;
-            narrow.symbolOrder = {first};
-            narrow.maxBranchDisplacement = longestDisplacement(in_order);
+            Options narrow = test::quarantineOptions(objects, opts);
+            ASSERT_FALSE(narrow.symbolOrder.empty()) << tag;
             st = expectStripEqualsStrippedLink(objects, narrow,
                                                tag + " quarantine");
             EXPECT_GT(st.quarantinedFunctions, 0u) << tag;

@@ -302,8 +302,9 @@ TEST(ParallelFor, NeverUsesMoreThreadsThanRequested)
 
 TEST(ParallelFor, NestedParallelForCompletes)
 {
-    // The inner loops run inline on the outer loop's workers, so the
-    // nest completes without adding threads.
+    // The inner loops are published to the run the outer loop started,
+    // whose idle workers help them, so the nest completes without adding
+    // threads.
     std::atomic<int> total{0};
     ThreadIds ids;
     sched::parallelFor(4, 8, [&](size_t) {
@@ -314,6 +315,97 @@ TEST(ParallelFor, NestedParallelForCompletes)
     });
     EXPECT_EQ(total.load(), 64);
     EXPECT_LE(ids.count(), 4u);
+}
+
+/** A one-task graph whose task runs a loop of @p n spins. */
+ScheduleReport
+runLoopTask(unsigned loop_threads, size_t n, std::atomic<int> &done)
+{
+    TaskGraph g;
+    g.add(
+        [&] {
+            sched::parallelFor(loop_threads, n, [&](size_t) {
+                auto until = std::chrono::steady_clock::now() +
+                             std::chrono::microseconds(20);
+                while (std::chrono::steady_clock::now() < until) {
+                }
+                done.fetch_add(1);
+            });
+        },
+        {"loop", "test", 1.5});
+    return runWith(g, 4);
+}
+
+TEST(ParallelFor, NestedLoopIsHelpedByIdleWorkers)
+{
+    // The task's loop creates no thread and no task: the run's three
+    // idle workers claim its indices beside the task's own worker.
+    constexpr size_t kN = 2000;
+    std::vector<std::atomic<int>> hits(kN);
+    ThreadIds ids;
+    std::atomic<bool> threw{false};
+    std::atomic<int> nested{0};
+    TaskGraph g;
+    g.add([&] {
+        sched::parallelFor(4, kN, [&](size_t i) {
+            ids.record();
+            hits[i].fetch_add(1);
+            // Index 0 holds its thread until another one joins (bounded,
+            // so a loop nobody helps fails the count below instead of
+            // hanging).
+            auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(10);
+            while (i == 0 && ids.count() < 2 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+        });
+
+        // The first exception is rethrown after every index ran.
+        std::vector<std::atomic<int>> ran(100);
+        try {
+            sched::parallelFor(4, ran.size(), [&](size_t i) {
+                ran[i].fetch_add(1);
+                if (i == 37)
+                    throw std::runtime_error("i37");
+            });
+        } catch (const std::runtime_error &) {
+            threw = true;
+        }
+        for (size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << i;
+
+        // A loop nested in a helped loop completes.
+        sched::parallelFor(4, 8, [&](size_t) {
+            sched::parallelFor(4, 8, [&](size_t) { nested.fetch_add(1); });
+        });
+    });
+    ScheduleReport report = runWith(g, 4);
+
+    for (size_t i = 0; i < kN; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << i;
+    EXPECT_GE(ids.count(), 2u);
+    EXPECT_LE(ids.count(), 4u);
+    EXPECT_TRUE(threw.load());
+    EXPECT_EQ(nested.load(), 64);
+    EXPECT_EQ(report.tasksExecuted, 1u);
+
+    // Helping adds nothing to the modelled schedule.
+    std::atomic<int> helped_done{0}, serial_done{0};
+    ScheduleReport helped = runLoopTask(4, 500, helped_done);
+    ScheduleReport serial = runLoopTask(1, 500, serial_done);
+    EXPECT_EQ(helped_done.load(), 500);
+    EXPECT_EQ(serial_done.load(), 500);
+    EXPECT_EQ(helped.tasksExecuted, serial.tasksExecuted);
+    EXPECT_EQ(helped.makespanSec, serial.makespanSec);
+    EXPECT_EQ(helped.criticalPathSec, serial.criticalPathSec);
+    EXPECT_EQ(helped.totalWorkSec, serial.totalWorkSec);
+    ASSERT_EQ(helped.spans.size(), serial.spans.size());
+    for (size_t i = 0; i < helped.spans.size(); ++i) {
+        EXPECT_EQ(helped.spans[i].label, serial.spans[i].label);
+        EXPECT_EQ(helped.spans[i].startSec, serial.spans[i].startSec);
+        EXPECT_EQ(helped.spans[i].endSec, serial.spans[i].endSec);
+        EXPECT_EQ(helped.spans[i].worker, serial.spans[i].worker);
+    }
 }
 
 // ---- The determinism property, 100 seeds ------------------------------

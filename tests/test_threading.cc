@@ -14,6 +14,7 @@
 
 #include "build/workflow.h"
 #include "codegen/codegen.h"
+#include "isa/isa.h"
 #include "linker/linker.h"
 #include "propeller/addr_map_index.h"
 #include "propeller/profile_mapper.h"
@@ -269,45 +270,169 @@ TEST(ThreadingDeterminism, StandaloneStagesIdenticalAcrossThreadCounts)
             << "jobs=" << jobs;
 }
 
+/** What one link returns: the executable or the error, and its stats. */
+struct LinkOutcome
+{
+    std::optional<linker::Executable> exe;
+    std::string error;
+    linker::LinkStats stats;
+};
+
+/** Prepare and link @p objects, both at @p threads threads. */
+LinkOutcome
+linkAt(const std::vector<elf::ObjectFile> &objects, linker::Options opts,
+       unsigned threads)
+{
+    opts.threads = threads;
+    std::vector<linker::PreparedObject> prepared(objects.size());
+    sched::parallelFor(threads, objects.size(), [&](size_t i) {
+        prepared[i] = linker::prepareObject(objects[i], opts);
+    });
+    LinkOutcome out;
+    auto exe = linker::linkChecked(prepared, opts, &out.stats);
+    if (exe.ok())
+        out.exe = std::move(exe).value();
+    else
+        out.error = exe.status().toString();
+    return out;
+}
+
+/**
+ * Link @p objects at threads {1, 2, 4, 8}: every field of the executable
+ * and of the stats, or the error message, must equal threads=1.
+ * Returns the threads=1 outcome.
+ */
+LinkOutcome
+expectLinkIdenticalAcrossThreads(const std::vector<elf::ObjectFile> &objects,
+                                 const linker::Options &opts,
+                                 const std::string &what)
+{
+    LinkOutcome serial = linkAt(objects, opts, 1);
+    for (unsigned threads : {2u, 4u, 8u}) {
+        const std::string tag = what + " threads=" + std::to_string(threads);
+        LinkOutcome out = linkAt(objects, opts, threads);
+        EXPECT_EQ(out.error, serial.error) << tag;
+        EXPECT_TRUE(out.stats == serial.stats) << tag;
+        EXPECT_EQ(out.exe.has_value(), serial.exe.has_value()) << tag;
+        if (!serial.exe || !out.exe)
+            continue;
+        // Field by field first, so a failure names the field.
+        const linker::Executable &a = *out.exe;
+        const linker::Executable &b = *serial.exe;
+        EXPECT_EQ(a.text, b.text) << tag;
+        EXPECT_EQ(a.identityHash, b.identityHash) << tag;
+        EXPECT_EQ(a.entryAddress, b.entryAddress) << tag;
+        EXPECT_EQ(a.symbols, b.symbols) << tag;
+        EXPECT_EQ(a.bbAddrMap, b.bbAddrMap) << tag;
+        EXPECT_EQ(a.integrityChecks, b.integrityChecks) << tag;
+        EXPECT_EQ(a.frames, b.frames) << tag;
+        EXPECT_EQ(a.sizes, b.sizes) << tag;
+        EXPECT_TRUE(a == b) << tag;
+    }
+    return serial;
+}
+
 TEST(ThreadingDeterminism, LinkIdenticalAcrossThreadCounts)
 {
-    // The PM link prepares its objects on sched::parallelFor: the result
-    // must equal the serial link in every field, stats included, and the
-    // workflow's metadata binary must not depend on the thread count.
-    for (const char *app : {"clang", "bigtable"}) {
+    // Both the preparation and the link's own passes (site resolution,
+    // relaxation, the overflow scan, emission, the BB-map fill, FDE
+    // coverage and integrity hashes) run on up to `threads` threads: the
+    // result, stats and errors included, must equal the serial link's,
+    // and the workflow's metadata binary must not depend on --jobs.
+    for (const char *app : {"clang", "bigtable", "search"}) {
         workload::WorkloadConfig cfg = workload::configByName(app);
-        ir::Program program = workload::generate(cfg);
-        codegen::Options copts;
-        copts.emitAddrMapSection = true;
-        std::vector<elf::ObjectFile> objects =
-            codegen::compileProgram(program, copts);
+        buildsys::Workflow wf(cfg);
+        const ir::Program &program = wf.program();
+
+        codegen::Options phase2;
+        phase2.emitAddrMapSection = true;
+        codegen::ClusterMap clusters = wf.wpa().ccProf.clusters;
+        codegen::sanitizeClusterMap(program, clusters);
+        codegen::Options phase4 = phase2;
+        phase4.bbSections = codegen::BbSectionsMode::Clusters;
+        phase4.clusters = &clusters;
+
         linker::Options opts;
         opts.outputName = cfg.name + ".pm";
         opts.entrySymbol = program.entryFunction;
         opts.hugePagesText = cfg.hugePages;
-        linker::LinkStats serial_stats;
-        linker::Executable serial =
-            linker::link(objects, opts, &serial_stats);
+        const std::vector<elf::ObjectFile> pm_objects =
+            codegen::compileProgram(program, phase2);
+        LinkOutcome pm = expectLinkIdenticalAcrossThreads(
+            pm_objects, opts, std::string(app) + " pm");
+        ASSERT_TRUE(pm.exe) << app << ": " << pm.error;
+        EXPECT_TRUE(*pm.exe == wf.metadataBinary()) << app;
 
-        std::optional<linker::Executable> pm;
-        for (unsigned jobs : {1u, 2u, 8u}) {
-            std::vector<linker::PreparedObject> prepared(objects.size());
-            sched::parallelFor(jobs, objects.size(), [&](size_t i) {
-                prepared[i] = linker::prepareObject(objects[i], opts);
-            });
-            linker::LinkStats stats;
-            linker::Executable exe = linker::link(prepared, opts, &stats);
-            EXPECT_TRUE(exe == serial) << app << " jobs=" << jobs;
-            EXPECT_TRUE(stats == serial_stats) << app << " jobs=" << jobs;
+        linker::Options ordered = opts;
+        ordered.outputName = cfg.name + ".po";
+        ordered.symbolOrder = wf.wpa().ldProf.symbolOrder;
+        const std::vector<elf::ObjectFile> po_objects =
+            codegen::compileProgram(program, phase4);
+        LinkOutcome po = expectLinkIdenticalAcrossThreads(
+            po_objects, ordered, std::string(app) + " po");
+        ASSERT_TRUE(po.exe) << app << ": " << po.error;
+        EXPECT_GT(po.stats.branchesShrunk, 0u) << app;
 
+        for (unsigned jobs : {2u, 8u}) {
             cfg.jobs = jobs;
-            buildsys::Workflow wf(cfg);
-            if (!pm)
-                pm = wf.metadataBinary();
-            EXPECT_TRUE(wf.metadataBinary() == *pm)
+            buildsys::Workflow par(cfg);
+            EXPECT_TRUE(par.metadataBinary() == *pm.exe)
                 << app << " jobs=" << jobs;
         }
-        EXPECT_TRUE(*pm == serial) << app;
+        if (std::string(app) != "clang")
+            continue;
+
+        // Degraded links: a function quarantined on overflow, and one
+        // object's maps failing their checksum.
+        linker::Options narrow = test::quarantineOptions(pm_objects, opts);
+        ASSERT_FALSE(narrow.symbolOrder.empty());
+        LinkOutcome quarantine = expectLinkIdenticalAcrossThreads(
+            pm_objects, narrow, "quarantine");
+        EXPECT_GT(quarantine.stats.quarantinedFunctions, 0u);
+
+        std::vector<elf::ObjectFile> flipped = po_objects;
+        int map = flipped[1].findSection(".bb_addr_map");
+        ASSERT_GE(map, 0);
+        flipped[1].sections[map].bytes[4] ^= 0x10;
+        LinkOutcome rejected = expectLinkIdenticalAcrossThreads(
+            flipped, ordered, "rejected maps");
+        EXPECT_EQ(rejected.stats.addrMapsRejected, 1u);
+
+        // First errors: two objects are broken, and the earlier one in
+        // input order must be reported at every thread count.
+        const size_t early = 1, late = po_objects.size() - 2;
+        auto firstSite = [](elf::ObjectFile &obj,
+                            bool call) -> elf::BranchSite * {
+            for (auto &sec : obj.sections)
+                for (auto &piece : sec.pieces)
+                    if (piece.site &&
+                        (piece.site->op == isa::Opcode::Call) == call)
+                        return &*piece.site;
+            return nullptr;
+        };
+        std::vector<elf::ObjectFile> unresolved = po_objects;
+        for (size_t o : {early, late}) {
+            elf::BranchSite *site = firstSite(unresolved[o], true);
+            ASSERT_NE(site, nullptr) << o;
+            site->targetSymbol = "ghost_" + std::to_string(o);
+        }
+        LinkOutcome ghost = expectLinkIdenticalAcrossThreads(
+            unresolved, ordered, "unresolved symbol");
+        EXPECT_NE(ghost.error.find("unresolved symbol ghost_1 "),
+                  std::string::npos)
+            << ghost.error;
+
+        std::vector<elf::ObjectFile> unmapped = po_objects;
+        for (size_t o : {early, late}) {
+            elf::BranchSite *site = firstSite(unmapped[o], false);
+            ASSERT_NE(site, nullptr) << o;
+            site->targetBb = static_cast<uint32_t>(4000 + o);
+        }
+        LinkOutcome hole = expectLinkIdenticalAcrossThreads(
+            unmapped, ordered, "unmapped block");
+        EXPECT_NE(hole.error.find("branch to unmapped block #4001 "),
+                  std::string::npos)
+            << hole.error;
     }
 }
 

@@ -3,15 +3,21 @@
 
 /**
  * @file
- * Shared helpers for the test suite: tiny hand-built IR programs and a
- * small synthetic workload config that keeps tests fast.
+ * Shared helpers for the test suite: tiny hand-built IR programs, a
+ * small synthetic workload config that keeps tests fast, and link
+ * options that force the linker's overflow quarantine.
  */
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "elf/object.h"
 #include "ir/ir.h"
+#include "isa/isa.h"
+#include "linker/linker.h"
 #include "workload/workload.h"
 
 namespace propeller::test {
@@ -97,6 +103,70 @@ tinyProgram()
     mod->functions.push_back(std::move(main_fn));
     program.modules.push_back(std::move(mod));
     return program;
+}
+
+/** The largest branch displacement magnitude in @p exe's text. */
+inline int64_t
+longestDisplacement(const linker::Executable &exe)
+{
+    int64_t longest = 0;
+    for (const auto &sym : exe.symbols) {
+        if (sym.isHandAsm)
+            continue;
+        for (uint64_t pc = sym.start; pc < sym.end;) {
+            auto inst = isa::decode(exe.text.data() + (pc - exe.textBase),
+                                    sym.end - pc);
+            if (!inst)
+                break;
+            if (inst->isCondBranch() || inst->isUncondBranch() ||
+                inst->isCall())
+                longest = std::max<int64_t>(
+                    longest, std::abs(static_cast<int64_t>(inst->rel)));
+            pc += inst->size();
+        }
+    }
+    return longest;
+}
+
+/** A text section with a branch to @p target other than itself; "" if none. */
+inline std::string
+sectionBranchingTo(const std::vector<elf::ObjectFile> &objects,
+                   const std::string &target)
+{
+    for (const auto &obj : objects) {
+        for (const auto &sym : obj.symbols) {
+            if (sym.sectionIndex >= obj.sections.size() || sym.name == target)
+                continue;
+            for (const auto &piece : obj.sections[sym.sectionIndex].pieces)
+                if (piece.site && piece.site->targetSymbol == target)
+                    return sym.name;
+        }
+    }
+    return "";
+}
+
+/**
+ * @p opts narrowed so that linking @p objects quarantines a function and
+ * still links.  T is the last section in input order that another
+ * section S branches to.  Listing S first stretches that branch across
+ * nearly the whole image; at input order's longest displacement S's
+ * function is quarantined back to input order, which links.  The
+ * symbolOrder is empty if no section branches to another.
+ */
+inline linker::Options
+quarantineOptions(const std::vector<elf::ObjectFile> &objects,
+                  const linker::Options &opts)
+{
+    linker::Executable in_order = linker::link(objects, opts);
+    std::string first;
+    for (size_t k = in_order.symbols.size(); k-- > 0 && first.empty();)
+        first = sectionBranchingTo(objects, in_order.symbols[k].name);
+    linker::Options narrow = opts;
+    narrow.symbolOrder.clear();
+    if (!first.empty())
+        narrow.symbolOrder.push_back(first);
+    narrow.maxBranchDisplacement = longestDisplacement(in_order);
+    return narrow;
 }
 
 } // namespace propeller::test
