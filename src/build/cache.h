@@ -14,8 +14,8 @@
  * cheaper than a full build: only the hot modules (10-33% of objects)
  * pay for backends again.
  *
- * Keys are 64-bit content fingerprints (FNV-1a over the module IR plus
- * the layout/prefetch directives that affect it — see
+ * Keys are 64-bit content fingerprints (contentHash over the module IR
+ * plus the layout/prefetch directives that affect it — see
  * Workflow's action fingerprinting).  Values are serialized
  * elf::ObjectFile byte images.
  *
@@ -41,6 +41,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -173,8 +174,7 @@ class ArtifactCache
             layoutAlias_.erase(alias);
             return nullptr;
         }
-        if (fnv1a(it->second.bytes.data(), it->second.bytes.size()) !=
-            it->second.hash) {
+        if (entryHash(it->second.bytes) != it->second.hash) {
             eraseEntry(layoutEntries_, layoutStats_, it);
             ++layoutStats_.corruptions;
             return nullptr;
@@ -300,14 +300,14 @@ class ArtifactCache
 
     /**
      * Byte image of both tiers for cross-process warm reruns: magic
-     * "PAC2", per-tier entry counts, entries in sorted key order (each
+     * "PAC3", per-tier entry counts, entries in sorted key order (each
      * carrying its digest alias key, so the primed index survives the
-     * round trip), and a trailing FNV-1a checksum over everything
-     * before it, so a damaged file is rejected as a whole rather than
-     * silently half-loaded (individual entries additionally carry their
-     * own content hashes, which lookup/scrub keep verifying after
-     * load).  Pre-digest "PAC1" images are rejected — a cold rebuild,
-     * not a correctness hazard.
+     * round trip), and a trailing contentHash over everything before
+     * it, so a damaged file is rejected as a whole rather than silently
+     * half-loaded (individual entries additionally carry their own
+     * content hashes, which lookup/scrub keep verifying after load).
+     * Images of earlier formats ("PAC1", "PAC2": other magics, other
+     * hashes) are rejected — a cold rebuild, not a correctness hazard.
      */
     std::vector<uint8_t>
     serialize() const
@@ -317,12 +317,12 @@ class ArtifactCache
         out.push_back('P');
         out.push_back('A');
         out.push_back('C');
-        out.push_back('2');
+        out.push_back('3');
         putU64(out, entries_.size());
         putU64(out, layoutEntries_.size());
         tierSerialize(entries_, out);
         tierSerialize(layoutEntries_, out);
-        putU64(out, fnv1a(out.data(), out.size()));
+        putU64(out, contentHash(out.data(), out.size()));
         return out;
     }
 
@@ -333,7 +333,7 @@ class ArtifactCache
      * zero hit/miss history.
      */
     bool
-    deserialize(const std::vector<uint8_t> &data)
+    deserialize(std::span<const uint8_t> data)
     {
         std::lock_guard<std::mutex> lock(mu_);
         entries_.clear();
@@ -342,13 +342,13 @@ class ArtifactCache
         stats_ = CacheStats{};
         layoutStats_ = CacheStats{};
         if (data.size() < 4 + 8 * 3 || data[0] != 'P' ||
-            data[1] != 'A' || data[2] != 'C' || data[3] != '2')
+            data[1] != 'A' || data[2] != 'C' || data[3] != '3')
             return false;
         uint64_t checksum = 0;
         size_t tail = data.size() - 8;
         for (int i = 0; i < 8; ++i)
             checksum |= static_cast<uint64_t>(data[tail + i]) << (8 * i);
-        if (fnv1a(data.data(), tail) != checksum)
+        if (contentHash(data.data(), tail) != checksum)
             return false;
         size_t pos = 4;
         uint64_t nObjects = 0;
@@ -377,10 +377,16 @@ class ArtifactCache
     struct Entry
     {
         std::vector<uint8_t> bytes;
-        uint64_t hash = 0;   ///< fnv1a(bytes) at store time.
+        uint64_t hash = 0;   ///< entryHash(bytes) at store time.
         uint64_t digest = 0; ///< Layout-input digest alias key (0 = none).
     };
     using EntryMap = std::unordered_map<uint64_t, Entry>;
+
+    static uint64_t
+    entryHash(const std::vector<uint8_t> &bytes)
+    {
+        return contentHash(bytes.data(), bytes.size());
+    }
 
     static const std::vector<uint8_t> *
     tierLookup(EntryMap &map, CacheStats &stats, uint64_t key)
@@ -390,8 +396,7 @@ class ArtifactCache
             ++stats.misses;
             return nullptr;
         }
-        if (fnv1a(it->second.bytes.data(), it->second.bytes.size()) !=
-            it->second.hash) {
+        if (entryHash(it->second.bytes) != it->second.hash) {
             eraseEntry(map, stats, it);
             ++stats.corruptions;
             ++stats.misses;
@@ -405,7 +410,7 @@ class ArtifactCache
     tierPut(EntryMap &map, CacheStats &stats, uint64_t key,
             std::vector<uint8_t> bytes, uint64_t digest = 0)
     {
-        uint64_t hash = fnv1a(bytes.data(), bytes.size());
+        uint64_t hash = entryHash(bytes);
         auto it = map.find(key);
         if (it != map.end()) {
             stats.storedBytes -= it->second.bytes.size();
@@ -425,8 +430,7 @@ class ArtifactCache
     {
         uint64_t evicted = 0;
         for (auto it = map.begin(); it != map.end();) {
-            if (fnv1a(it->second.bytes.data(),
-                      it->second.bytes.size()) != it->second.hash) {
+            if (entryHash(it->second.bytes) != it->second.hash) {
                 it = eraseEntry(map, stats, it);
                 ++stats.corruptions;
                 ++evicted;
@@ -450,8 +454,7 @@ class ArtifactCache
         stats.storedBytes += it->second.bytes.size();
         stats.storedBytes -= before;
         if (rehash)
-            it->second.hash =
-                fnv1a(it->second.bytes.data(), it->second.bytes.size());
+            it->second.hash = entryHash(it->second.bytes);
         return true;
     }
 
@@ -474,7 +477,7 @@ class ArtifactCache
     }
 
     static bool
-    getU64(const std::vector<uint8_t> &in, size_t limit, size_t &pos,
+    getU64(std::span<const uint8_t> in, size_t limit, size_t &pos,
            uint64_t &v)
     {
         if (pos + 8 > limit)
@@ -501,7 +504,7 @@ class ArtifactCache
     }
 
     static bool
-    tierDeserialize(const std::vector<uint8_t> &data, size_t limit,
+    tierDeserialize(std::span<const uint8_t> data, size_t limit,
                     size_t &pos, uint64_t count, EntryMap &map,
                     CacheStats &stats)
     {
@@ -517,9 +520,8 @@ class ArtifactCache
                 size > limit - pos)
                 return false;
             Entry entry;
-            entry.bytes.assign(data.begin() + static_cast<long>(pos),
-                               data.begin() +
-                                   static_cast<long>(pos + size));
+            const auto bytes = data.subspan(pos, size);
+            entry.bytes.assign(bytes.begin(), bytes.end());
             entry.hash = hash;
             entry.digest = digest;
             pos += size;

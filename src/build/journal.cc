@@ -8,7 +8,7 @@ namespace propeller::buildsys {
 
 namespace {
 
-constexpr char kMagic[4] = {'P', 'F', 'J', '1'};
+constexpr char kMagic[4] = {'P', 'F', 'J', '2'};
 
 void
 putU64(std::vector<uint8_t> &out, uint64_t v)
@@ -18,7 +18,7 @@ putU64(std::vector<uint8_t> &out, uint64_t v)
 }
 
 uint64_t
-getU64(const std::vector<uint8_t> &in, size_t pos)
+getU64(std::span<const uint8_t> in, size_t pos)
 {
     uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
@@ -29,7 +29,7 @@ getU64(const std::vector<uint8_t> &in, size_t pos)
 } // namespace
 
 std::vector<uint8_t>
-encodeJournal(uint64_t generation, const std::vector<uint8_t> &payload)
+encodeJournal(uint64_t generation, std::span<const uint8_t> payload)
 {
     std::vector<uint8_t> out(kMagic, kMagic + 4);
     out.reserve(kJournalHeaderBytes + payload.size() +
@@ -37,13 +37,13 @@ encodeJournal(uint64_t generation, const std::vector<uint8_t> &payload)
     putU64(out, generation);
     putU64(out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
-    putU64(out, fnv1a(out.data(), out.size()));
+    putU64(out, contentHash(out.data(), out.size()));
     return out;
 }
 
 bool
-decodeJournal(const std::vector<uint8_t> &file, uint64_t *generation,
-              std::vector<uint8_t> *payload)
+decodeJournal(std::span<const uint8_t> file, uint64_t *generation,
+              std::span<const uint8_t> *payload)
 {
     if (file.size() < kJournalHeaderBytes + kJournalFooterBytes)
         return false;
@@ -57,14 +57,12 @@ decodeJournal(const std::vector<uint8_t> &file, uint64_t *generation,
     if (size != file.size() - kJournalHeaderBytes - kJournalFooterBytes)
         return false;
     size_t tail = file.size() - kJournalFooterBytes;
-    if (fnv1a(file.data(), tail) != getU64(file, tail))
+    if (contentHash(file.data(), tail) != getU64(file, tail))
         return false;
     if (generation)
         *generation = gen;
     if (payload)
-        payload->assign(file.begin() +
-                            static_cast<long>(kJournalHeaderBytes),
-                        file.begin() + static_cast<long>(tail));
+        *payload = file.subspan(kJournalHeaderBytes, size);
     return true;
 }
 
@@ -96,9 +94,18 @@ readFile(const std::string &path, std::vector<uint8_t> &out)
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
-    out.clear();
+    // Size the buffer once from the file.  A file that grows under the
+    // read is still read in full (the loop below); one that shrinks, or
+    // one that cannot seek, yields what was read.
+    long size = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        size = std::ftell(f);
+        std::rewind(f);
+    }
+    out.resize(size > 0 ? static_cast<size_t>(size) : 0);
+    size_t n = out.empty() ? 0 : std::fread(out.data(), 1, out.size(), f);
+    out.resize(n);
     uint8_t buf[1 << 16];
-    size_t n = 0;
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
         out.insert(out.end(), buf, buf + n);
     std::fclose(f);

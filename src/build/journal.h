@@ -12,8 +12,8 @@
  *
  *  1. A *journal container* wrapping the payload: fixed magic, a
  *     generation stamp (which relink generation wrote this image), the
- *     payload length, and a trailing FNV-1a checksum over everything
- *     before it.  Any torn or bit-damaged file — truncated inside the
+ *     payload length, and a trailing contentHash checksum over
+ *     everything before it.  Any torn or bit-damaged file — truncated inside the
  *     header, the payload or the footer, or mutated anywhere — fails
  *     decodeJournal() and reads as "no image": the caller cold-starts
  *     instead of aborting or half-loading.
@@ -30,6 +30,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,18 +41,21 @@ namespace propeller::buildsys {
 constexpr size_t kJournalHeaderBytes = 4 + 8 + 8;
 constexpr size_t kJournalFooterBytes = 8;
 
-/** Wrap @p payload in a journal container stamped @p generation. */
+/** Wrap @p payload in a journal container ("PFJ2") stamped
+ *  @p generation. */
 std::vector<uint8_t> encodeJournal(uint64_t generation,
-                                   const std::vector<uint8_t> &payload);
+                                   std::span<const uint8_t> payload);
 
 /**
  * Decode a journal container.  Returns false — without touching the
- * outputs — on any structural damage: short file, wrong magic, length
- * mismatch (a torn write), or footer checksum mismatch (bit damage).
- * @p generation and @p payload may be nullptr when not wanted.
+ * outputs — on any structural damage: short file, wrong magic (an
+ * earlier "PFJ1" container included), length mismatch (a torn write),
+ * or footer checksum mismatch (bit damage).  On success @p payload
+ * views the payload inside @p file, so it is valid only while @p file
+ * is.  @p generation and @p payload may be nullptr when not wanted.
  */
-bool decodeJournal(const std::vector<uint8_t> &file, uint64_t *generation,
-                   std::vector<uint8_t> *payload);
+bool decodeJournal(std::span<const uint8_t> file, uint64_t *generation,
+                   std::span<const uint8_t> *payload);
 
 /**
  * Write @p bytes to @p path atomically: the full image goes to

@@ -17,21 +17,23 @@ namespace propeller::buildsys {
 
 namespace {
 
-/** Fingerprint one IR instruction into a running hash. */
-uint64_t
-hashInst(uint64_t h, const ir::Inst &inst)
+/** Stream one IR instruction's fields, packed into words. */
+void
+hashInst(ContentHasher &h, const ir::Inst &inst)
 {
-    h = hashCombine(h, static_cast<uint64_t>(inst.kind));
-    h = hashCombine(h, inst.reg);
-    h = hashCombine(h, inst.imm);
-    h = fnv1a(inst.callee, h);
-    h = hashCombine(h, inst.trueTarget);
-    h = hashCombine(h, inst.falseTarget);
-    h = hashCombine(h, inst.bias);
-    h = hashCombine(h, inst.branchId);
-    h = hashCombine(h, inst.periodic ? 1 : 0);
-    h = hashCombine(h, inst.target);
-    return h;
+    // The packing gives every field its own bits; a wider field type
+    // must get a word of its own.
+    static_assert(sizeof(inst.kind) == 1 && sizeof(inst.reg) == 1 &&
+                  sizeof(inst.bias) == 1 && sizeof(inst.imm) == 4 &&
+                  sizeof(inst.trueTarget) == 4 &&
+                  sizeof(inst.falseTarget) == 4 &&
+                  sizeof(inst.branchId) == 4 && sizeof(inst.target) == 4);
+    h.word(static_cast<uint64_t>(inst.kind) | uint64_t{inst.reg} << 8 |
+           uint64_t{inst.bias} << 16 | uint64_t{inst.periodic} << 24 |
+           uint64_t{inst.imm} << 32);
+    h.word(inst.trueTarget | uint64_t{inst.falseTarget} << 32);
+    h.word(inst.branchId | uint64_t{inst.target} << 32);
+    h.string(inst.callee);
 }
 
 /** Total IR instructions in a module (the codegen cost driver). */
@@ -105,21 +107,26 @@ Workflow::moduleHash(size_t module_index) const
     // or writes its slot, so hashes fill in from every task at once.
     std::optional<uint64_t> &slot = moduleHashes_[module_index];
     if (!slot) {
+        // Every list is count-prefixed and every string
+        // length-prefixed, so no two modules stream the same words.
         const ir::Module &mod = *program_->modules[module_index];
-        uint64_t h = fnv1a(mod.name);
-        h = hashCombine(h, mod.rodataBytes);
+        ContentHasher h;
+        h.string(mod.name);
+        h.word(mod.rodataBytes);
+        h.word(mod.functions.size());
         for (const auto &fn : mod.functions) {
-            h = fnv1a(fn->name, h);
-            h = hashCombine(h, fn->isHandAsm ? 1 : 0);
-            h = hashCombine(h, fn->hasIntegrityCheck ? 1 : 0);
+            h.string(fn->name);
+            h.word(uint64_t{fn->isHandAsm} |
+                   uint64_t{fn->hasIntegrityCheck} << 1);
+            h.word(fn->blocks.size());
             for (const auto &bb : fn->blocks) {
-                h = hashCombine(h, bb->id);
-                h = hashCombine(h, bb->isLandingPad ? 1 : 0);
+                h.word(bb->id | uint64_t{bb->isLandingPad} << 32);
+                h.word(bb->insts.size());
                 for (const auto &inst : bb->insts)
-                    h = hashInst(h, inst);
+                    hashInst(h, inst);
             }
         }
-        slot = h;
+        slot = h.finish();
     }
     return *slot;
 }
@@ -131,8 +138,9 @@ Workflow::actionKey(size_t module_index,
                     bool emit_addr_map) const
 {
     const ir::Module &mod = *program_->modules[module_index];
-    uint64_t key = moduleHash(module_index);
-    key = hashCombine(key, emit_addr_map ? 1 : 0);
+    ContentHasher key;
+    key.word(moduleHash(module_index));
+    key.word(emit_addr_map ? 1 : 0);
 
     // Only the directives that *apply to this module* enter the
     // fingerprint.  A module none of whose functions have cluster
@@ -144,15 +152,18 @@ Workflow::actionKey(size_t module_index,
             auto it = clusters->find(fn->name);
             if (it == clusters->end())
                 continue;
-            key = fnv1a(fn->name, key);
-            key = hashCombine(key, it->second.coldIndex);
+            key.string(fn->name);
+            key.word(static_cast<uint64_t>(it->second.coldIndex));
+            key.word(it->second.clusters.size());
             for (const auto &cluster : it->second.clusters) {
-                key = hashCombine(key, cluster.size());
+                key.word(cluster.size());
                 for (uint32_t id : cluster)
-                    key = hashCombine(key, id);
+                    key.word(id);
             }
         }
     }
+    // Ends the cluster entries: no string is 2^64 - 1 bytes long.
+    key.word(~uint64_t{0});
     if (prefetches) {
         for (const auto &fn : mod.functions) {
             for (const auto &bb : fn->blocks) {
@@ -163,13 +174,12 @@ Workflow::actionKey(size_t module_index,
                         static_cast<uint16_t>(inst.imm));
                     if (it == prefetches->end())
                         continue;
-                    key = hashCombine(key, it->first);
-                    key = hashCombine(key, it->second);
+                    key.word(it->first | uint64_t{it->second} << 16);
                 }
             }
         }
     }
-    return key;
+    return key.finish();
 }
 
 /** Per-module slots and ordered commit state of one codegen stage. */
@@ -584,7 +594,7 @@ Workflow::loadCacheFile(const std::string &path, uint64_t *generation)
         return false;
     // A torn or bit-damaged journal is "no image": the run proceeds
     // cold instead of aborting or half-loading.
-    std::vector<uint8_t> payload;
+    std::span<const uint8_t> payload;
     uint64_t gen = 0;
     if (!decodeJournal(file, &gen, &payload))
         return false;

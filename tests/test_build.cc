@@ -9,6 +9,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,6 +27,12 @@
 
 namespace propeller::buildsys {
 namespace {
+
+std::vector<uint8_t>
+bytesOf(std::span<const uint8_t> bytes)
+{
+    return {bytes.begin(), bytes.end()};
+}
 
 TEST(ArtifactCache, HitMissAccounting)
 {
@@ -98,25 +108,32 @@ TEST(ArtifactCache, DeserializeRejectsDamagedImages)
 {
     ArtifactCache cache;
     cache.put(1, {10, 11});
-    cache.putLayout(2, {20});
-    std::vector<uint8_t> image = cache.serialize();
+    cache.putLayout(2, {20}, /*digest=*/9);
+    const std::vector<uint8_t> image = cache.serialize();
 
-    // Bad magic, truncation, and a payload bit flip (checksum) must all
-    // be rejected, leaving the target cache empty rather than poisoned.
-    for (int damage = 0; damage < 3; ++damage) {
-        std::vector<uint8_t> bad = image;
-        if (damage == 0)
-            bad[0] ^= 0xff;
-        else if (damage == 1)
-            bad.resize(bad.size() / 2);
-        else
-            bad[bad.size() / 2] ^= 0x01;
+    // Every single-bit flip (magic, counts, entry headers, entry bytes,
+    // trailer) and every truncation must be rejected, leaving the
+    // target cache empty rather than poisoned.
+    auto expectRejected = [](const std::vector<uint8_t> &bad,
+                             const std::string &what) {
         ArtifactCache copy;
         copy.put(42, {1});
-        EXPECT_FALSE(copy.deserialize(bad)) << "damage " << damage;
-        EXPECT_EQ(copy.lookup(42), nullptr) << "damage " << damage;
-        EXPECT_EQ(copy.keys().size(), 0u) << "damage " << damage;
+        copy.putLayout(43, {2});
+        EXPECT_FALSE(copy.deserialize(bad)) << what;
+        EXPECT_EQ(copy.keys().size(), 0u) << what;
+        EXPECT_EQ(copy.layoutKeys().size(), 0u) << what;
+        EXPECT_EQ(copy.stats().entries, 0u) << what;
+        EXPECT_EQ(copy.lookupLayoutPrimed(9), nullptr) << what;
+    };
+    for (size_t bit = 0; bit < image.size() * 8; ++bit) {
+        std::vector<uint8_t> bad = image;
+        bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        expectRejected(bad, "bit " + std::to_string(bit));
     }
+    for (size_t len = 0; len < image.size(); ++len)
+        expectRejected(
+            std::vector<uint8_t>(image.begin(), image.begin() + len),
+            "len " + std::to_string(len));
 }
 
 TEST(ArtifactCache, CorruptLayoutIsEvictedNotServed)
@@ -458,10 +475,12 @@ TEST(Journal, EncodeDecodeRoundTripsGenerationAndPayload)
                                 kJournalFooterBytes);
 
     uint64_t gen = 0;
-    std::vector<uint8_t> out;
+    std::span<const uint8_t> out;
     ASSERT_TRUE(decodeJournal(image, &gen, &out));
     EXPECT_EQ(gen, 41u);
-    EXPECT_EQ(out, payload);
+    EXPECT_EQ(bytesOf(out), payload);
+    // The payload is a view into the file, not a copy.
+    EXPECT_EQ(out.data(), image.data() + kJournalHeaderBytes);
 
     // An empty payload is a valid (if pointless) image.
     image = encodeJournal(7, {});
@@ -482,9 +501,11 @@ TEST(Journal, DecodeRejectsEveryTruncationPoint)
     for (size_t len = 0; len < image.size(); ++len) {
         std::vector<uint8_t> torn(image.begin(), image.begin() + len);
         uint64_t gen = 99;
-        std::vector<uint8_t> out = {0xaa};
+        const uint8_t sentinel[1] = {0xaa};
+        std::span<const uint8_t> out(sentinel);
         EXPECT_FALSE(decodeJournal(torn, &gen, &out)) << "len " << len;
         EXPECT_EQ(gen, 99u) << "outputs touched at len " << len;
+        EXPECT_EQ(out.data(), sentinel) << "outputs touched at len " << len;
         EXPECT_EQ(out.size(), 1u) << "outputs touched at len " << len;
     }
 }
@@ -494,15 +515,17 @@ TEST(Journal, DecodeRejectsBitDamageInEveryRegion)
     std::vector<uint8_t> payload(32, 0x5a);
     const std::vector<uint8_t> image = encodeJournal(12, payload);
 
-    // One representative byte per region: magic, generation, length,
-    // payload, footer checksum.
-    const size_t probes[] = {0, 5, 14, kJournalHeaderBytes + 3,
-                             image.size() - 2};
-    for (size_t pos : probes) {
+    // Every single-bit flip in every region — magic, generation,
+    // length, payload, footer checksum — is rejected with the outputs
+    // untouched (truncations: DecodeRejectsEveryTruncationPoint).
+    for (size_t bit = 0; bit < image.size() * 8; ++bit) {
         std::vector<uint8_t> damaged = image;
-        damaged[pos] ^= 0x10;
-        EXPECT_FALSE(decodeJournal(damaged, nullptr, nullptr))
-            << "byte " << pos;
+        damaged[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        uint64_t gen = 99;
+        std::span<const uint8_t> out;
+        EXPECT_FALSE(decodeJournal(damaged, &gen, &out)) << "bit " << bit;
+        EXPECT_EQ(gen, 99u) << "bit " << bit;
+        EXPECT_EQ(out.data(), nullptr) << "bit " << bit;
     }
 }
 
@@ -537,11 +560,11 @@ TEST(Journal, AtomicWriteCrashSweepNeverCorruptsExistingImage)
         std::vector<uint8_t> file;
         ASSERT_TRUE(readFile(path, file)) << "crash at " << crash;
         uint64_t gen = 0;
-        std::vector<uint8_t> out;
+        std::span<const uint8_t> out;
         ASSERT_TRUE(decodeJournal(file, &gen, &out))
             << "crash at " << crash;
         EXPECT_EQ(gen, 1u) << "crash at " << crash;
-        EXPECT_EQ(out, oldPayload) << "crash at " << crash;
+        EXPECT_EQ(bytesOf(out), oldPayload) << "crash at " << crash;
     }
 
     // The next clean save goes through and replaces the image whole.
@@ -549,10 +572,10 @@ TEST(Journal, AtomicWriteCrashSweepNeverCorruptsExistingImage)
     std::vector<uint8_t> file;
     ASSERT_TRUE(readFile(path, file));
     uint64_t gen = 0;
-    std::vector<uint8_t> out;
+    std::span<const uint8_t> out;
     ASSERT_TRUE(decodeJournal(file, &gen, &out));
     EXPECT_EQ(gen, 2u);
-    EXPECT_EQ(out, newPayload);
+    EXPECT_EQ(bytesOf(out), newPayload);
 
     std::remove(path.c_str());
     std::remove(tmp.c_str());
@@ -606,6 +629,289 @@ TEST(WorkflowCache, TornImageColdStartsCleanly)
     EXPECT_EQ(gen2, 6u);
     std::remove(path);
     std::remove((std::string(path) + ".tmp").c_str());
+}
+
+void
+putLe64(std::vector<uint8_t> &out, uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+TEST(WorkflowCache, PreviousFormatImagesLoadAsNoImage)
+{
+    const char *path = "test_wf_old_format.cache";
+    workload::WorkloadConfig cfg = test::smallConfig();
+
+    Workflow writer(cfg);
+    const std::vector<uint8_t> text = writer.propellerBinary().text;
+    ASSERT_TRUE(writer.saveCacheFile(path, 3));
+    std::vector<uint8_t> file;
+    ASSERT_TRUE(readFile(path, file));
+    std::span<const uint8_t> body;
+    ASSERT_TRUE(decodeJournal(file, nullptr, &body));
+    ASSERT_EQ(std::string(body.begin(), body.begin() + 4), "PAC3");
+
+    // The previous formats: a "PAC2" body (same layout, FNV-1a
+    // trailer) and the "PFJ1" container (same framing, FNV-1a footer).
+    std::vector<uint8_t> pac2(body.begin(), body.end() - 8);
+    pac2[3] = '2';
+    putLe64(pac2, fnv1a(pac2.data(), pac2.size()));
+    std::vector<uint8_t> pfj1 = {'P', 'F', 'J', '1'};
+    putLe64(pfj1, 3);
+    putLe64(pfj1, pac2.size());
+    pfj1.insert(pfj1.end(), pac2.begin(), pac2.end());
+    putLe64(pfj1, fnv1a(pfj1.data(), pfj1.size()));
+
+    const std::pair<const char *, std::vector<uint8_t>> images[] = {
+        {"PAC2 body in a PFJ2 container", encodeJournal(3, pac2)},
+        {"PFJ1 container", pfj1},
+    };
+    for (const auto &[what, image] : images) {
+        SCOPED_TRACE(what);
+        ASSERT_TRUE(atomicWriteFile(path, image));
+        Workflow reader(cfg);
+        uint64_t gen = 99;
+        EXPECT_FALSE(reader.loadCacheFile(path, &gen));
+        EXPECT_EQ(gen, 99u);
+        EXPECT_EQ(reader.cacheStats().entries, 0u);
+        EXPECT_EQ(reader.layoutCacheStats().entries, 0u);
+        // The relink runs cold and ships the same text.
+        EXPECT_EQ(reader.propellerBinary().text, text);
+        EXPECT_EQ(reader.report("phase2.codegen").cacheHits, 0u);
+    }
+    std::remove(path);
+    std::remove((std::string(path) + ".tmp").c_str());
+}
+
+/** Edits one field the module key covers; returns the edited module. */
+using FieldEdit = std::function<std::optional<size_t>(ir::Program &)>;
+
+/** The first instruction (and its module) that @p pick accepts. */
+std::optional<size_t>
+editFirstInst(ir::Program &prog,
+              const std::function<bool(const ir::Function &,
+                                       const ir::BasicBlock &,
+                                       ir::Inst &)> &pick)
+{
+    for (size_t m = 0; m < prog.modules.size(); ++m)
+        for (auto &fn : prog.modules[m]->functions)
+            for (auto &bb : fn->blocks)
+                for (ir::Inst &inst : bb->insts)
+                    if (pick(*fn, *bb, inst))
+                        return m;
+    return std::nullopt;
+}
+
+/** A block id of @p fn other than @p a, @p b and @p c, if any. */
+std::optional<uint32_t>
+otherBlock(const ir::Function &fn, uint32_t a, uint32_t b, uint32_t c)
+{
+    for (const auto &bb : fn.blocks)
+        if (bb->id != a && bb->id != b && bb->id != c)
+            return bb->id;
+    return std::nullopt;
+}
+
+TEST(WorkflowCache, ModuleKeySeesEveryHashedField)
+{
+    // Each edit changes one field the module key covers and must
+    // rebuild exactly that module against a shared Phase 2 cache: a
+    // field left out of the key would serve the stale object instead.
+    // The flag edits pick sites whose neighbouring field has its low
+    // bit set, so a flag packed onto that bit would go unseen too.
+    const char *path = "test_wf_module_key.cache";
+    workload::WorkloadConfig cfg = test::smallConfig();
+    cfg.integrityCheckedFunctions = 2; // A site for the isHandAsm edit.
+    size_t nmod = 0;
+    {
+        Workflow cold(cfg);
+        cold.metadataBinary();
+        nmod = cold.program().modules.size();
+        ASSERT_EQ(cold.report("phase2.codegen").cacheHits, 0u);
+        ASSERT_TRUE(cold.saveCacheFile(path));
+    }
+
+    auto isCondBr = [](const ir::Inst &inst) {
+        return inst.kind == ir::InstKind::CondBr;
+    };
+    auto isWork = [](const ir::Inst &inst) {
+        return inst.kind == ir::InstKind::Work;
+    };
+    const std::vector<std::pair<std::string, FieldEdit>> edits = {
+        {"none", [](ir::Program &) { return std::optional<size_t>(); }},
+        {"module.name",
+         [](ir::Program &prog) {
+             prog.modules[1]->name += "_renamed";
+             return std::optional<size_t>(1);
+         }},
+        {"module.rodataBytes",
+         [](ir::Program &prog) {
+             prog.modules[2]->rodataBytes += 1;
+             return std::optional<size_t>(2);
+         }},
+        {"function.name",
+         [](ir::Program &prog) -> std::optional<size_t> {
+             // A function nothing calls, so no other module changes.
+             std::set<std::string> called = {prog.entryFunction};
+             for (auto &mod : prog.modules)
+                 for (auto &fn : mod->functions)
+                     for (auto &bb : fn->blocks)
+                         for (const ir::Inst &inst : bb->insts)
+                             called.insert(inst.callee);
+             for (size_t m = 0; m < prog.modules.size(); ++m)
+                 for (auto &fn : prog.modules[m]->functions)
+                     if (!called.count(fn->name)) {
+                         fn->name += "_renamed";
+                         return m;
+                     }
+             return std::nullopt;
+         }},
+        {"function.isHandAsm",
+         [](ir::Program &prog) -> std::optional<size_t> {
+             for (size_t m = 0; m < prog.modules.size(); ++m)
+                 for (auto &fn : prog.modules[m]->functions)
+                     if (!fn->isHandAsm && fn->hasIntegrityCheck) {
+                         fn->isHandAsm = true;
+                         return m;
+                     }
+             return std::nullopt;
+         }},
+        {"function.hasIntegrityCheck",
+         [](ir::Program &prog) -> std::optional<size_t> {
+             for (size_t m = 0; m < prog.modules.size(); ++m)
+                 for (auto &fn : prog.modules[m]->functions)
+                     if (fn->isHandAsm) {
+                         fn->hasIntegrityCheck = !fn->hasIntegrityCheck;
+                         return m;
+                     }
+             return std::nullopt;
+         }},
+        {"block.id",
+         [](ir::Program &prog) -> std::optional<size_t> {
+             // Renumber an entry block no branch targets.
+             for (size_t m = 0; m < prog.modules.size(); ++m) {
+                 for (auto &fn : prog.modules[m]->functions) {
+                     uint32_t top = 0;
+                     bool targeted = false;
+                     for (auto &bb : fn->blocks) {
+                         top = std::max(top, bb->id);
+                         for (uint32_t succ : bb->successors())
+                             targeted |= succ == fn->entry().id;
+                     }
+                     if (!targeted) {
+                         fn->entry().id = top + 1;
+                         return m;
+                     }
+                 }
+             }
+             return std::nullopt;
+         }},
+        {"block.isLandingPad",
+         [](ir::Program &prog) -> std::optional<size_t> {
+             for (size_t m = 0; m < prog.modules.size(); ++m)
+                 for (auto &fn : prog.modules[m]->functions)
+                     for (auto &bb : fn->blocks)
+                         if (bb->id % 2 == 1 && !bb->isLandingPad) {
+                             bb->isLandingPad = true;
+                             return m;
+                         }
+             return std::nullopt;
+         }},
+        {"inst.kind",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isWork(i) && (i.kind = ir::InstKind::WorkWide,
+                                      true);
+             });
+         }},
+        {"inst.reg",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isWork(i) && (i.reg ^= 1, true);
+             });
+         }},
+        {"inst.imm",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isWork(i) && (i.imm += 1, true);
+             });
+         }},
+        {"inst.callee",
+         [&](ir::Program &prog) {
+             const std::string other = prog.entryFunction;
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return i.kind == ir::InstKind::Call &&
+                        i.callee != other && (i.callee = other, true);
+             });
+         }},
+        {"inst.trueTarget",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &fn, auto &bb,
+                                            ir::Inst &i) {
+                 if (!isCondBr(i))
+                     return false;
+                 auto to = otherBlock(fn, i.trueTarget, i.falseTarget,
+                                      bb.id);
+                 return to && (i.trueTarget = *to, true);
+             });
+         }},
+        {"inst.falseTarget",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &fn, auto &bb,
+                                            ir::Inst &i) {
+                 if (!isCondBr(i))
+                     return false;
+                 auto to = otherBlock(fn, i.trueTarget, i.falseTarget,
+                                      bb.id);
+                 return to && (i.falseTarget = *to, true);
+             });
+         }},
+        {"inst.bias",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isCondBr(i) && (i.bias ^= 1, true);
+             });
+         }},
+        {"inst.branchId",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isCondBr(i) && (i.branchId |= 1u << 31, true);
+             });
+         }},
+        {"inst.periodic",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &, auto &, ir::Inst &i) {
+                 return isCondBr(i) && i.bias % 2 == 1 &&
+                        (i.periodic = !i.periodic, true);
+             });
+         }},
+        {"inst.target",
+         [&](ir::Program &prog) {
+             return editFirstInst(prog, [&](auto &fn, auto &bb,
+                                            ir::Inst &i) {
+                 if (i.kind != ir::InstKind::Br)
+                     return false;
+                 auto to = otherBlock(fn, i.target, i.target, bb.id);
+                 return to && (i.target = *to, true);
+             });
+         }},
+    };
+    for (const auto &[field, edit] : edits) {
+        SCOPED_TRACE(field);
+        ir::Program prog = workload::generate(cfg);
+        const std::optional<size_t> edited = edit(prog);
+        ASSERT_TRUE(edited || field == "none") << "no site to edit";
+        Workflow wf(cfg);
+        wf.overrideProgram(std::move(prog));
+        ASSERT_TRUE(wf.loadCacheFile(path));
+        wf.metadataBinary();
+        const PhaseReport &report = wf.report("phase2.codegen");
+        EXPECT_EQ(report.cacheHits, edited ? nmod - 1 : nmod);
+        // The rebuilt object is the edited module's, stored afresh.
+        EXPECT_EQ(wf.cacheStats().entries, edited ? nmod + 1 : nmod);
+    }
+    std::remove(path);
 }
 
 TEST(WorkflowReports, BoltReportsPopulated)

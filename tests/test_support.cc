@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "json_reader.h"
 #include "support/hash.h"
 #include "support/json.h"
@@ -158,6 +163,97 @@ TEST(Hash, CombineOrderMatters)
     uint64_t h = kFnvOffset;
     EXPECT_NE(hashCombine(hashCombine(h, 1), 2),
               hashCombine(hashCombine(h, 2), 1));
+}
+
+TEST(ContentHash, MatchesKnownValues)
+{
+    // Pinned: the cache image trailer, the journal footer and every
+    // entry hash depend on these exact values.
+    EXPECT_EQ(contentHash("", 0), 0x3fdf455f9dcf1e62ull);
+    EXPECT_EQ(contentHash("a", 1), 0x5148ea31508f0e49ull);
+    EXPECT_EQ(contentHash("abc", 3), 0x82d7e88cce6a1c5aull);
+    EXPECT_EQ(contentHash("12345678", 8), 0xf0c281624ba6a3c8ull);
+    const std::string fox = "The quick brown fox jumps over the lazy dog";
+    EXPECT_EQ(contentHash(fox.data(), fox.size()), 0x497fb2362743de6bull);
+    uint8_t ramp[64];
+    for (int i = 0; i < 64; ++i)
+        ramp[i] = static_cast<uint8_t>(i);
+    EXPECT_EQ(contentHash(ramp, sizeof ramp), 0xf7c67301db6713f0ull);
+}
+
+TEST(ContentHash, ZeroBuffersOfEveryLengthDiffer)
+{
+    const std::vector<uint8_t> zeros(80, 0);
+    std::set<uint64_t> seen;
+    for (size_t len = 0; len <= zeros.size(); ++len)
+        EXPECT_TRUE(seen.insert(contentHash(zeros.data(), len)).second)
+            << "len " << len;
+}
+
+TEST(ContentHash, UnalignedStartHashesLikeAlignedCopy)
+{
+    std::vector<uint8_t> buf(300 + 8);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<uint8_t>(i * 131 + 7);
+    for (size_t offset = 0; offset < 8; ++offset) {
+        for (size_t len : {0, 1, 7, 8, 9, 31, 32, 33, 64, 100, 300}) {
+            // uint64_t storage: the copy starts on an 8-byte boundary.
+            std::vector<uint64_t> aligned((len + 7) / 8 + 1);
+            std::memcpy(aligned.data(), buf.data() + offset, len);
+            EXPECT_EQ(contentHash(buf.data() + offset, len),
+                      contentHash(aligned.data(), len))
+                << "offset " << offset << " len " << len;
+        }
+    }
+}
+
+TEST(ContentHash, EverySingleBitFlipChangesValue)
+{
+    std::vector<uint8_t> buf(256);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<uint8_t>(i * 37 + 11);
+    const uint64_t base = contentHash(buf.data(), buf.size());
+    for (size_t bit = 0; bit < buf.size() * 8; ++bit) {
+        buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        EXPECT_NE(contentHash(buf.data(), buf.size()), base)
+            << "bit " << bit;
+        buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+}
+
+TEST(ContentHash, StreamingEqualsOneShotAtEverySplit)
+{
+    std::vector<uint8_t> buf(100);
+    for (size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<uint8_t>(i * 29 + 3);
+    const uint64_t whole = contentHash(buf.data(), buf.size());
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        ContentHasher h;
+        h.update(buf.data(), split);
+        h.update(buf.data() + split, buf.size() - split);
+        EXPECT_EQ(h.finish(), whole) << "split " << split;
+    }
+
+    // word() absorbs 8 little-endian bytes, on or off a word boundary;
+    // string() is its length word, its bytes and zero padding.
+    for (size_t lead = 0; lead < 8; ++lead) {
+        ContentHasher words;
+        words.update(buf.data(), lead);
+        words.word(0x0102030405060708ull);
+        words.string("abc");
+        words.word(9);
+        std::vector<uint8_t> bytes(buf.begin(), buf.begin() + lead);
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(static_cast<uint8_t>(8 - i));
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(i == 0 ? 3 : 0);
+        bytes.insert(bytes.end(), {'a', 'b', 'c'});
+        bytes.resize((bytes.size() + 7) / 8 * 8, 0);
+        for (int i = 0; i < 8; ++i)
+            bytes.push_back(i == 0 ? 9 : 0);
+        EXPECT_EQ(words.finish(), contentHash(bytes.data(), bytes.size()))
+            << "lead " << lead;
+    }
 }
 
 TEST(Hash, DigestIsFixedWidthHex)
